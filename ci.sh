@@ -23,9 +23,10 @@ cargo build --release --features trace
 cargo test -q --features trace
 cargo test -q -p garnet-bench --features trace
 
-# Rerun the driver-sensitive suites with the facade hosted on the
-# threaded graph (ISSUE 5): GarnetConfig::default() honours the
-# GARNET_TEST_DRIVER toggle, so the same tests exercise both engines.
+# Rerun the driver-sensitive suites on the threaded engine (the FIFO
+# router with its ingest shards on pool workers): GarnetConfig::default()
+# honours the GARNET_TEST_DRIVER toggle, so the same tests exercise both
+# engines.
 echo "==> threaded-driver verify: GARNET_TEST_DRIVER=threaded determinism + tracing"
 GARNET_TEST_DRIVER=threaded cargo test -q --test determinism --test tracing
 GARNET_TEST_DRIVER=threaded cargo test -q --test determinism --test tracing --features trace
@@ -39,7 +40,7 @@ GARNET_TEST_BATCH=perframe cargo test -q --test determinism --test tracing --fea
 
 # The durable archive (ISSUE 7): the garnet-store suite in both feature
 # configs, and the replay bit-identity suite re-hosted on the threaded
-# graph — a boundary log written under either engine must rebuild
+# engine — a boundary log written under either engine must rebuild
 # dispatch state identically whatever engine replays it.
 echo "==> archive verify: garnet-store suite + replay bit-identity under the threaded driver"
 cargo test -q -p garnet-store
@@ -56,7 +57,7 @@ GARNET_TEST_MATCH_CACHE=off cargo test -q --test determinism --test tracing
 GARNET_TEST_MATCH_CACHE=off cargo test -q --test determinism --test tracing --features trace
 
 # The telemetry plane (ISSUE 9): the facade suite in both feature
-# configs and re-hosted on the threaded graph, then an operator-tooling
+# configs and re-hosted on the threaded engine, then an operator-tooling
 # smoke test — the telemetry_node example writes a JSONL sink and
 # garnetctl must read it back (dump renders, health exits 0).
 echo "==> telemetry verify: facade suite + threaded rerun + garnetctl smoke"
@@ -88,5 +89,10 @@ if cargo run -q -p garnet-ctl --bin garnetctl -- health "$starved_sink"; then
   echo "garnetctl health failed to flag a starved class" >&2
   exit 1
 fi
+
+# The wall-clock benchmark builds against these crates from its own
+# workspace: its smoke tests catch a facade change that breaks it.
+echo "==> perfbench smoke tests"
+cargo test --release --manifest-path perfbench/Cargo.toml
 
 echo "==> CI green"

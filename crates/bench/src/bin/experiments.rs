@@ -94,10 +94,6 @@ fn main() {
         let (_, t) = e17_overload::run_qos();
         println!("{}", t.render());
     }
-    if want("e18") {
-        let (_, t) = e18_dispatch_shards::run();
-        println!("{}", t.render());
-    }
     if want("e19") {
         let (_, t) = e19_trace_overhead::run();
         println!("{}", t.render());

@@ -3,8 +3,9 @@
 //! The `trace` cargo feature compiles a per-hop flight recorder into the
 //! routers (see `garnet-simkit`'s `trace` module); with the feature off
 //! the tracer is a zero-sized no-op. This sweep measures what turning it
-//! on costs: the **same** workload is pushed through the `ThreadedRouter`
-//! and the resulting throughput is recorded under a driver string that
+//! on costs: the **same** workload is pushed through the `Garnet` facade
+//! on the threaded engine, frame at a time, and the resulting
+//! throughput is recorded under a driver string that
 //! names the build (`trace=on` / `trace=off`), so running the bench once
 //! per feature configuration yields two `BENCH_trace_overhead.json`
 //! documents whose point-for-point throughput delta *is* the recorder's
@@ -15,14 +16,16 @@
 //! `BENCH_pipeline_shards.json` (see [`crate::e03_pipeline::sweep_json`]),
 //! `host_cores` included.
 
-use garnet_core::router::{Router, Services, ShardedDispatch, ShardedIngest, ThreadedRouter};
+use garnet_core::middleware::GarnetConfig;
+use garnet_core::router::{Router, Services, ShardedDispatch, ShardedIngest};
 use garnet_core::service::ServiceEvent;
-use garnet_core::{ControlGraph, FilterConfig, ServiceOutput};
-use garnet_net::{SubscriberId, SubscriptionTable, TopicFilter};
+use garnet_core::{ControlGraph, DriverKind, FilterConfig, ServiceOutput};
+use garnet_net::{SubscriberId, TopicFilter};
 use garnet_radio::ReceiverId;
 use garnet_simkit::SimTime;
 
 use crate::e03_pipeline::{host_cores, shard_workload, sweep_json, ShardPoint};
+use crate::e20_runtime_mode::run_facade_point;
 use crate::table::{f2, n, Table};
 
 /// Subscribers matching every stream (the dispatch fan-out).
@@ -32,64 +35,33 @@ const SUBSCRIBERS: u32 = 4;
 /// two JSON documents are distinguishable after the fact.
 pub fn driver() -> &'static str {
     if cfg!(feature = "trace") {
-        "ThreadedRouter(trace=on)"
+        "Garnet(Threaded,trace=on)"
     } else {
-        "ThreadedRouter(trace=off)"
+        "Garnet(Threaded,trace=off)"
     }
 }
 
-fn subscriptions() -> SubscriptionTable {
-    let mut table = SubscriptionTable::new();
-    for id in 0..SUBSCRIBERS {
-        table.subscribe(SubscriberId::new(id), TopicFilter::All);
-    }
-    table
-}
-
-/// Pushes `workload` through a [`ThreadedRouter`] with `shards` ingest
-/// and dispatch shards, returning the wall-clock sample. With the
-/// `trace` feature on, every hop also lands in the flight recorder, so
-/// the sample prices recording; with it off the tracer calls are inlined
-/// no-ops. Panics if any delivery is lost.
+/// Pushes `workload` frame by frame through a facade on the threaded
+/// engine with `shards` ingest and dispatch shards, returning the
+/// wall-clock sample. With the `trace` feature on, every hop also lands
+/// in the flight recorder, so the sample prices recording; with it off
+/// the tracer calls are inlined no-ops. Panics if any delivery is lost.
 pub fn run_trace_point(workload: &[garnet_wire::FrameBytes], shards: usize) -> ShardPoint {
-    let table = subscriptions();
-    let started = std::time::Instant::now();
-    let mut router =
-        ThreadedRouter::new(FilterConfig::default(), shards, shards, &table, ControlGraph::default);
-    let mut delivered = 0u64;
-    let mut count = |roots: Vec<garnet_core::RootOutput>| {
-        for root in roots {
-            for out in root.outputs {
-                if matches!(out, ServiceOutput::Deliver { .. }) {
-                    delivered += 1;
-                }
-            }
-        }
+    let config = GarnetConfig {
+        driver: DriverKind::Threaded,
+        ingest_shards: shards,
+        dispatch_shards: shards,
+        ..GarnetConfig::default()
     };
-    for (i, frame) in workload.iter().enumerate() {
-        let at = SimTime::from_micros(i as u64);
-        count(router.push_frame(ReceiverId::new(0), -40.0, frame.clone(), at));
-    }
-    count(router.push_flush(SimTime::from_secs(3_600)));
-    let report = router.finish();
-    count(report.outputs);
-    let elapsed = started.elapsed();
-    assert!(report.failures.is_empty(), "trace sweep lost work: {:?}", report.failures);
-    let frames = workload.len() as u64;
-    assert_eq!(delivered, frames * u64::from(SUBSCRIBERS), "trace sweep lost deliveries");
+    let (point, garnet) = run_facade_point(workload, config, SUBSCRIBERS, 1, |_| {});
     // Guard that the sweep measures what it claims to: records exist
     // exactly when the recorder is compiled in.
     assert_eq!(
-        report.trace.records.is_empty(),
+        garnet.trace_snapshot().records.is_empty(),
         !cfg!(feature = "trace"),
         "flight recorder state disagrees with the build's feature set"
     );
-    ShardPoint {
-        shards,
-        frames,
-        elapsed_us: elapsed.as_micros() as u64,
-        throughput_fps: frames as f64 / elapsed.as_secs_f64(),
-    }
+    point
 }
 
 /// Pushes `workload` through the single-threaded FIFO [`Router`] (whose

@@ -1,10 +1,10 @@
 //! E20 — runtime mode: the hosted threaded graph vs the FIFO driver,
 //! measured through the *facade*.
 //!
-//! E3 and E18 price the threaded stages bare; this experiment prices
+//! E3 prices the threaded ingest stage bare; this experiment prices
 //! the deployment decision the facade actually offers:
 //! [`garnet_core::DriverKind::Fifo`] (the simulation engine) against
-//! [`garnet_core::DriverKind::Threaded`] (the hosted worker pools),
+//! [`garnet_core::DriverKind::Threaded`] (ingest shards on workers),
 //! with the full `Garnet` API — consumer callbacks, orphanage, metrics
 //! — in the loop. Both modes process the identical pre-encoded
 //! workload and must deliver every frame; the drivers are
@@ -20,6 +20,8 @@
 //! same gate the bench harness does: no speedup is claimed unless the
 //! host has at least two cores.
 
+use std::sync::atomic::Ordering;
+
 use garnet_core::middleware::{Garnet, GarnetConfig};
 use garnet_core::pipeline::SharedCountConsumer;
 use garnet_core::DriverKind;
@@ -33,45 +35,73 @@ use crate::table::{f2, n, Table};
 /// Shard counts the threaded points sweep (the FIFO point is always 1).
 pub const THREADED_SHARDS: [usize; 3] = [1, 2, 4];
 
+/// Pushes `workload` through a facade built from `config`, with
+/// `subscribers` consumers of every stream, in `on_frames` bursts of
+/// `batch` frames (each stamped with its first frame's index in µs),
+/// then flushes reorder buffers and shuts down. `setup` runs on the
+/// facade before the clock starts (extra consumers, subscriptions).
+/// Returns the wall-clock sample and the shut-down facade, which still
+/// answers reads. Panics if any delivery is lost: the workload is
+/// duplicate- and gap-free, so every frame reaches every subscriber.
+pub fn run_facade_point(
+    workload: &[garnet_wire::FrameBytes],
+    config: GarnetConfig,
+    subscribers: u32,
+    batch: usize,
+    setup: impl FnOnce(&mut Garnet),
+) -> (ShardPoint, Garnet) {
+    let shards = config.ingest_shards;
+    let mut garnet = Garnet::new(config);
+    let token = garnet.issue_default_token("bench");
+    let counters: Vec<_> = (0..subscribers)
+        .map(|i| {
+            let (consumer, delivered) = SharedCountConsumer::new(format!("bench-{i}"));
+            let id = garnet.register_consumer(Box::new(consumer), &token, 0).unwrap();
+            garnet.subscribe(id, TopicFilter::All, &token).unwrap();
+            delivered
+        })
+        .collect();
+    setup(&mut garnet);
+    let started = std::time::Instant::now();
+    let batch = batch.max(1);
+    for (k, chunk) in workload.chunks(batch).enumerate() {
+        let frames: Vec<_> = chunk
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (ReceiverId::new((i % 4) as u32), -40.0, f.clone()))
+            .collect();
+        garnet.on_frames(frames, SimTime::from_micros((k * batch) as u64));
+    }
+    garnet.on_tick(SimTime::from_secs(3_600));
+    garnet.shutdown(SimTime::from_secs(3_600)).expect("no archive configured");
+    let elapsed = started.elapsed();
+    let delivered: u64 = counters.iter().map(|c| c.load(Ordering::Relaxed)).sum();
+    let frames = workload.len() as u64;
+    assert_eq!(delivered, frames * u64::from(subscribers), "the facade lost deliveries");
+    let point = ShardPoint {
+        shards,
+        frames,
+        elapsed_us: elapsed.as_micros() as u64,
+        throughput_fps: frames as f64 / elapsed.as_secs_f64(),
+    };
+    (point, garnet)
+}
+
 /// Pushes `workload` through a facade in `driver` mode with `shards`
-/// ingest and dispatch shards, returning the wall-clock sample. Panics
-/// if any delivery is lost: the workload is duplicate- and gap-free and
-/// one consumer subscribes to everything, so delivered must equal
-/// offered in both modes.
+/// ingest and dispatch shards and one consumer of every stream, as one
+/// burst, returning the wall-clock sample.
 pub fn run_mode_point(
     workload: &[garnet_wire::FrameBytes],
     driver: DriverKind,
     shards: usize,
 ) -> ShardPoint {
-    let started = std::time::Instant::now();
-    let mut garnet = Garnet::new(GarnetConfig {
+    let config = GarnetConfig {
         driver,
         ingest_shards: shards,
         dispatch_shards: shards,
         ..GarnetConfig::default()
-    });
-    let token = garnet.issue_default_token("bench");
-    let (consumer, delivered) = SharedCountConsumer::new("bench");
-    let id = garnet.register_consumer(Box::new(consumer), &token, 0).unwrap();
-    garnet.subscribe(id, TopicFilter::All, &token).unwrap();
-    let frames: Vec<_> = workload
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (ReceiverId::new((i % 4) as u32), -40.0, f.clone()))
-        .collect();
-    let last = SimTime::from_micros(workload.len() as u64);
-    garnet.on_frames(frames, last);
-    garnet.on_tick(SimTime::from_secs(3_600));
-    garnet.shutdown(SimTime::from_secs(3_600)).expect("no archive configured");
-    let elapsed = started.elapsed();
-    let count = delivered.load(std::sync::atomic::Ordering::Relaxed);
-    assert_eq!(count, workload.len() as u64, "{driver:?} lost deliveries");
-    ShardPoint {
-        shards,
-        frames: count,
-        elapsed_us: elapsed.as_micros() as u64,
-        throughput_fps: count as f64 / elapsed.as_secs_f64(),
-    }
+    };
+    run_facade_point(workload, config, 1, workload.len(), |_| {}).0
 }
 
 /// Runs the mode sweep: the FIFO baseline first, then the threaded

@@ -1,13 +1,14 @@
 //! E21 — admission batch-size sweep on the zero-copy frame path.
 //!
-//! E3/E18 sweep worker *shards*; this sweep holds the topology at one
+//! E3 sweeps worker *shards*; this sweep holds the topology at one
 //! shard and varies the **admission batch size** instead: how many
-//! frames enter the stage per `push_frames` call. Each consecutive
-//! same-shard run costs one channel hand-off and one sequencer merge
-//! however many frames it carries, so per-frame overhead (enqueue,
-//! wake-up, root bookkeeping) amortises across the batch. The shape to
-//! reproduce: per-frame cost falls monotonically from batch size 1 to
-//! 64, flattening once the fixed edge cost is fully amortised.
+//! frames enter per call — `push_frames` on the bare ingest stage,
+//! `Garnet::on_frames` on the facade's threaded engine. Each batch
+//! costs one worker round-trip however many frames it carries, so
+//! per-frame overhead (enqueue, wake-up, merge) amortises across the
+//! batch. The shape to reproduce: per-frame cost falls monotonically
+//! from batch size 1 to 64, flattening once the fixed cost is fully
+//! amortised.
 //!
 //! Emits `BENCH_batch.json` via the shared sweep schema
 //! ([`crate::e03_pipeline::sweep_json`], `host_cores` recorded). One
@@ -15,9 +16,15 @@
 //! size** — the sweep variable — not a worker count; the topology is
 //! fixed at one shard per stage.
 
+use garnet_core::middleware::GarnetConfig;
+use garnet_core::DriverKind;
+
 use crate::e03_pipeline::{host_cores, run_shard_point_batched, shard_workload, ShardPoint};
-use crate::e18_dispatch_shards::run_dispatch_point_batched;
+use crate::e20_runtime_mode::run_facade_point;
 use crate::table::{f2, n, Table};
+
+/// Consumers of every stream in the graph sweep (the dispatch fan-out).
+const GRAPH_SUBSCRIBERS: u32 = 8;
 
 /// The batch sizes the sweep visits.
 pub const BATCH_SIZES: [usize; 4] = [1, 8, 64, 256];
@@ -46,14 +53,16 @@ pub fn ingest_batch_sweep(frames: u32, sensors: u32, batches: &[usize]) -> Vec<B
         .collect()
 }
 
-/// Sweeps the full graph (E18's `ThreadedRouter`, 1×1 shards) over the
-/// admission batch sizes.
+/// Sweeps the full graph (the facade on the threaded engine, 1×1
+/// shards) over the admission batch sizes.
 pub fn graph_batch_sweep(frames: u32, sensors: u32, batches: &[usize]) -> Vec<BatchPoint> {
     let workload = shard_workload(frames, sensors);
+    let config = || GarnetConfig { driver: DriverKind::Threaded, ..GarnetConfig::default() };
     batches
         .iter()
         .map(|&batch| {
-            let mut point = run_dispatch_point_batched(&workload, 1, batch);
+            let (mut point, _) =
+                run_facade_point(&workload, config(), GRAPH_SUBSCRIBERS, batch, |_| {});
             point.shards = batch;
             BatchPoint { batch, point }
         })

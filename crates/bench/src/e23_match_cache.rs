@@ -11,8 +11,8 @@
 //!   [`DispatchingService`] (the single-threaded engine's dispatch
 //!   core) and time `route()` directly, hit rate from the cache's own
 //!   counters;
-//! * **threaded** points drive the full [`ThreadedRouter`] graph over a
-//!   multi-sensor workload with shard-local caches, cache on vs off.
+//! * **threaded** points drive the `Garnet` facade on the threaded
+//!   engine over a multi-sensor workload, cache on vs off.
 //!
 //! The companion Criterion harness (`benches/bench_match_cache.rs`)
 //! writes `BENCH_match_cache.json` — the `sweep_json` schema with
@@ -24,14 +24,13 @@
 use std::time::Instant;
 
 use garnet_core::dispatching::DispatchingService;
-use garnet_core::router::{OverloadPolicy, ThreadedRouter};
-use garnet_core::{ControlGraph, FilterConfig, ServiceOutput};
-use garnet_net::{DispatchCacheConfig, SubscriberId, SubscriptionTable, TopicFilter};
-use garnet_radio::ReceiverId;
-use garnet_simkit::SimTime;
+use garnet_core::middleware::GarnetConfig;
+use garnet_core::DriverKind;
+use garnet_net::{DispatchCacheConfig, TopicFilter};
 use garnet_wire::{SensorId, StreamId, StreamIndex};
 
 use crate::e03_pipeline::{host_cores, shard_workload};
+use crate::e20_runtime_mode::run_facade_point;
 use crate::table::{f2, f3, n, Table};
 
 /// One point of the direct-dispatch (fifo-engine) sweep.
@@ -134,72 +133,44 @@ pub fn run_fifo_point(fanout: usize, population: usize, cache_on: bool, iters: u
     }
 }
 
-/// Pushes `workload` through a 1×1 [`ThreadedRouter`] whose dispatch
-/// shard runs with the given cache setting: `fanout` subscribers match
-/// every stream, `population` bystanders subscribe to streams the
-/// workload never carries. Panics if any delivery is lost.
+/// Pushes `workload` frame by frame through a facade on the threaded
+/// engine (1×1 shards) whose dispatch shard runs with the given cache
+/// setting: `fanout` consumers match every stream, and one bystander
+/// consumer holds `population` subscriptions to streams the workload
+/// never carries. Panics if any delivery is lost.
 pub fn run_threaded_point(
     workload: &[garnet_wire::FrameBytes],
     fanout: usize,
     population: usize,
     cache_on: bool,
 ) -> ThreadedCachePoint {
-    let mut table = SubscriptionTable::new();
-    for id in 0..fanout {
-        table.subscribe(SubscriberId::new(id as u32), TopicFilter::All);
-    }
-    for i in 0..population {
-        let sensor = SensorId::new(100_000 + i as u32 % 1_000_000).unwrap();
-        table.subscribe(
-            SubscriberId::new((fanout + i) as u32),
-            TopicFilter::Stream(StreamId::new(sensor, StreamIndex::new(0))),
-        );
-    }
-    let started = Instant::now();
-    let mut router = ThreadedRouter::with_options(
-        FilterConfig::default(),
-        1,
-        1,
-        &table,
-        ControlGraph::default,
-        OverloadPolicy::Block,
-        4,
-        None,
-        cache_config(cache_on),
-    );
-    let mut delivered = 0u64;
-    let mut count = |roots: Vec<garnet_core::RootOutput>| {
-        for root in roots {
-            for out in root.outputs {
-                if matches!(out, ServiceOutput::Deliver { .. }) {
-                    delivered += 1;
-                }
-            }
+    let config = GarnetConfig {
+        driver: DriverKind::Threaded,
+        dispatch_cache: cache_config(cache_on),
+        ..GarnetConfig::default()
+    };
+    let bystanders = |garnet: &mut garnet_core::Garnet| {
+        if population == 0 {
+            return;
+        }
+        let token = garnet.issue_default_token("bystander");
+        let (consumer, _) = garnet_core::pipeline::SharedCountConsumer::new("bystander");
+        let id = garnet.register_consumer(Box::new(consumer), &token, 0).unwrap();
+        for i in 0..population {
+            let sensor = SensorId::new(100_000 + i as u32 % 1_000_000).unwrap();
+            let filter = TopicFilter::Stream(StreamId::new(sensor, StreamIndex::new(0)));
+            garnet.subscribe(id, filter, &token).unwrap();
         }
     };
-    for (i, frame) in workload.iter().enumerate() {
-        count(router.push_frame(
-            ReceiverId::new(0),
-            -40.0,
-            frame.clone(),
-            SimTime::from_micros(i as u64),
-        ));
-    }
-    count(router.push_flush(SimTime::from_secs(3_600)));
-    let parts = router.into_parts();
-    count(parts.report.outputs);
-    let elapsed = started.elapsed();
-    assert!(parts.report.failures.is_empty(), "cache sweep lost work: {:?}", parts.report.failures);
-    let frames = workload.len() as u64;
-    assert_eq!(delivered, frames * fanout as u64, "cache sweep lost deliveries");
+    let (point, garnet) = run_facade_point(workload, config, fanout as u32, 1, bystanders);
     ThreadedCachePoint {
         fanout,
         population,
         cache_on,
-        frames,
-        elapsed_us: elapsed.as_micros() as u64,
-        throughput_fps: frames as f64 / elapsed.as_secs_f64(),
-        hit_rate: hit_rate(parts.dispatch_stats.match_cache()),
+        frames: point.frames,
+        elapsed_us: point.elapsed_us,
+        throughput_fps: point.throughput_fps,
+        hit_rate: hit_rate(garnet.dispatching().match_cache()),
     }
 }
 
@@ -267,7 +238,7 @@ pub fn cache_sweep_json(
         )
     }));
     format!(
-        "{{\n  \"bench\": \"e23_match_cache\",\n  \"driver\": \"DispatchingService+ThreadedRouter\",\n  \
+        "{{\n  \"bench\": \"e23_match_cache\",\n  \"driver\": \"DispatchingService+Garnet(Threaded)\",\n  \
          \"host_cores\": {cores},\n  \"note\": \"cache on = epoch-validated Arc<[SubscriberId]> \
          match sets; off = rebuild per route\",\n  \"points\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
@@ -352,7 +323,7 @@ mod tests {
 
     #[test]
     fn steady_state_cache_hit_allocates_nothing() {
-        use garnet_net::MatchCache;
+        use garnet_net::{MatchCache, SubscriberId, SubscriptionTable};
         let mut table = SubscriptionTable::new();
         for id in 0..16u32 {
             table.subscribe(SubscriberId::new(id), TopicFilter::Stream(hot_stream()));

@@ -3,33 +3,30 @@
 //! [`RouterDriver`] is the router-facing surface the facade actually
 //! uses: frame admission, pumping to quiescence, subscription changes,
 //! the metrics counters, the overload ledger, shard supervision and the
-//! flight recorder. Two engines implement it:
+//! flight recorder. [`FifoDriver`] implements it over the FIFO
+//! [`Router`], and hosts both engines [`GarnetConfig::driver`] picks
+//! between:
 //!
-//! * [`FifoDriver`] — the single-threaded FIFO [`Router`], the
-//!   simulation engine with bit-exact event interleaving;
-//! * [`ThreadedDriver`] — a facade-hosted [`ThreadedRouter`]: worker
-//!   pools per stage, a shared live subscription table, and the control
-//!   graph pumped inline so synchronous facade calls can still borrow
-//!   it.
+//! * [`DriverKind::Fifo`] — every stage inline, in the caller's thread;
+//! * [`DriverKind::Threaded`] — the same FIFO router, with its ingest
+//!   shards on worker threads
+//!   ([`ShardedIngest::pooled`](crate::router::ShardedIngest::pooled)).
+//!   Dispatch and the control graph stay inline.
 //!
-//! Both produce identical deliveries, metrics and (modulo shard ids)
-//! trace dumps for the same input schedule; [`GarnetConfig::driver`]
-//! picks between them.
+//! Both run the same router code over the same queue, so deliveries,
+//! metrics and trace dumps are identical for the same input schedule.
 //!
 //! [`GarnetConfig::driver`]: crate::GarnetConfig::driver
 
-use std::sync::{Arc, RwLock};
-
-use garnet_net::{ShardFailure, SubscriberId, SubscriptionTable, TopicFilter};
+use garnet_net::{ShardFailure, SubscriberId, TopicFilter};
 use garnet_radio::ReceiverId;
 use garnet_simkit::trace::{TraceConfig, TraceSnapshot};
 use garnet_simkit::{Histogram, SimTime};
 use garnet_wire::{FrameBytes, StreamId};
 
-use crate::filtering::{FilterConfig, FilteringService};
+use crate::filtering::FilteringService;
 use crate::router::{
-    ControlGraph, FrameAdmission, OverloadConfig, OverloadTotals, Router, Services, ShardedIngest,
-    ThreadedRouter, ThreadedRouterParts,
+    ControlGraph, FrameAdmission, OverloadConfig, OverloadTotals, Router, Services,
 };
 use crate::service::{BatchedFrame, ServiceEvent, ServiceOutput};
 use crate::stream::ShardedStreamRegistry;
@@ -41,9 +38,10 @@ pub enum DriverKind {
     /// The single-threaded FIFO [`Router`]: one event at a time, the
     /// reference interleaving. The simulation default.
     Fifo,
-    /// The [`ThreadedRouter`]: filtering and dispatch on worker pools,
-    /// outputs released in boundary order so every observable matches
-    /// the FIFO engine.
+    /// The FIFO [`Router`] with its ingest shards on worker threads:
+    /// each filtering pass runs one job per shard on a supervised pool
+    /// and waits for all of them, so every observable matches the FIFO
+    /// engine.
     Threaded,
 }
 
@@ -61,8 +59,8 @@ impl Default for DriverKind {
 }
 
 /// Ingest-stage counters, snapshotted by value through the driver
-/// surface. (By value because the threaded engine aggregates per-shard
-/// snapshots on demand — there is no single struct to borrow.)
+/// surface. (By value because the stage aggregates per-shard snapshots
+/// on demand — there is no single struct to borrow.)
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FilterStats {
     pub(crate) delivered: u64,
@@ -85,19 +83,6 @@ impl FilterStats {
             gaps: filter.gap_count(),
             restarts: filter.restart_count(),
             streams: filter.stream_count(),
-        }
-    }
-
-    /// Snapshot of a whole sharded ingest stage.
-    pub(crate) fn of_sharded(ingest: &ShardedIngest) -> Self {
-        FilterStats {
-            delivered: ingest.delivered_count(),
-            duplicates: ingest.duplicate_count(),
-            crc_failures: ingest.crc_failure_count(),
-            reordered: ingest.reordered_count(),
-            gaps: ingest.gap_count(),
-            restarts: ingest.restart_count(),
-            streams: ingest.stream_count(),
         }
     }
 
@@ -207,17 +192,16 @@ impl DispatchStats {
 /// * Subscription and registry mutations only happen between pumps
 ///   (the facade is single-threaded), so engines may serve them from
 ///   shared state without locking the hot path.
-/// * [`RouterDriver::shutdown`] drains in-flight work and joins any
-///   worker pools; afterwards reads (metrics, traces, streams) still
-///   work and new events are ignored.
+/// * [`RouterDriver::shutdown`] drains in-flight work; afterwards reads
+///   (metrics, traces, streams) still work.
 pub trait RouterDriver: std::fmt::Debug {
     /// Queues one boundary event — the control path: never shed.
     fn push_event(&mut self, ev: ServiceEvent, now: SimTime);
 
     /// Offers one frame to admission control. Returns any outputs that
-    /// escaped the graph while admission made room (only the FIFO
-    /// engine under [`crate::router::OverloadPolicy::Block`] produces
-    /// these; they must be applied before the next pump).
+    /// escaped the graph while admission made room (only
+    /// [`crate::router::OverloadPolicy::Block`] produces these; they
+    /// must be applied before the next pump).
     fn admit_frame(
         &mut self,
         receiver: ReceiverId,
@@ -231,8 +215,7 @@ pub trait RouterDriver: std::fmt::Debug {
     /// Semantically identical to calling [`RouterDriver::admit_frame`]
     /// once per frame in order — the overload ledger counts every
     /// individual frame — but engines amortise per-frame costs over
-    /// the burst (one channel hand-off per shard run, one filtering
-    /// pass per batch).
+    /// the burst (one filtering pass per batch).
     fn admit_frames(&mut self, frames: Vec<BatchedFrame>, now: SimTime) -> Vec<ServiceOutput>;
 
     /// Advances the graph, returning escaped outputs in canonical
@@ -287,13 +270,13 @@ pub trait RouterDriver: std::fmt::Debug {
     /// neither engine samples an ungoverned queue).
     fn queue_depth_p99(&self) -> u64;
 
-    /// Shard restarts performed by a supervision policy (always 0 for
-    /// the FIFO engine — nothing panics, nothing restarts).
+    /// Shard restarts performed by a supervision policy (always 0 when
+    /// ingest runs inline — nothing panics, nothing restarts).
     fn shard_restart_count(&self) -> u64;
 
-    /// Jobs accepted per [`garnet_net::EdgeClass`] across the engine's
-    /// stage edges, indexed by `EdgeClass::index`. All zeros for the
-    /// FIFO engine, which has no channel boundaries to account at.
+    /// Jobs accepted per [`garnet_net::EdgeClass`] at the engine's
+    /// worker boundary, indexed by `EdgeClass::index`. All zeros when
+    /// ingest runs inline, with no channel boundary to account at.
     fn edge_class_submits(&self) -> [u64; 3] {
         [0; 3]
     }
@@ -317,7 +300,7 @@ pub trait RouterDriver: std::fmt::Debug {
     fn note_telemetry_quiescent(&mut self);
 
     /// Takes worker failures recorded since the last call (always
-    /// empty for the FIFO engine, which has no threads to lose).
+    /// empty when ingest runs inline, with no threads to lose).
     fn take_shard_failures(&mut self) -> Vec<ShardFailure>;
 
     /// The earliest time-driven deadline across services.
@@ -333,13 +316,13 @@ pub trait RouterDriver: std::fmt::Debug {
     /// it (see [`garnet_simkit::trace::Tracer::drain_to`]).
     fn trace_drain_to(&mut self, w: &mut dyn std::io::Write) -> std::io::Result<usize>;
 
-    /// Drains in-flight work and joins any worker pools, returning the
-    /// outputs released on the way out. Reads keep working afterwards;
-    /// new events are ignored.
+    /// Drains in-flight work, returning the outputs released on the way
+    /// out. Reads keep working afterwards.
     fn shutdown(&mut self, now: SimTime) -> Vec<ServiceOutput>;
 }
 
-/// The FIFO [`Router`] behind the driver surface.
+/// The FIFO [`Router`] behind the driver surface — the host of both
+/// [`DriverKind`]s, which differ only in the services' ingest stage.
 #[derive(Debug)]
 pub struct FifoDriver {
     router: Router,
@@ -460,7 +443,7 @@ impl RouterDriver for FifoDriver {
     }
 
     fn filter_stats(&self) -> FilterStats {
-        FilterStats::of_sharded(&self.router.services().ingest)
+        self.router.services().ingest.stats()
     }
 
     fn dispatch_stats(&self) -> DispatchStats {
@@ -488,7 +471,11 @@ impl RouterDriver for FifoDriver {
     }
 
     fn shard_restart_count(&self) -> u64 {
-        0
+        self.router.services().ingest.supervised_restart_count()
+    }
+
+    fn edge_class_submits(&self) -> [u64; 3] {
+        self.router.services().ingest.class_submits()
     }
 
     fn pipeline_spans(&self) -> &PipelineSpans {
@@ -508,7 +495,7 @@ impl RouterDriver for FifoDriver {
     }
 
     fn take_shard_failures(&mut self) -> Vec<ShardFailure> {
-        Vec::new()
+        self.router.services_mut().ingest.take_failures()
     }
 
     fn next_deadline(&self) -> Option<SimTime> {
@@ -528,375 +515,13 @@ impl RouterDriver for FifoDriver {
     }
 
     fn shutdown(&mut self, now: SimTime) -> Vec<ServiceOutput> {
-        // No pools to join: just drain whatever is still queued.
+        // Drain whatever is still queued. Pooled ingest shards hold no
+        // work between passes; their workers are joined when the
+        // engine is dropped.
         let mut out = Vec::new();
         while let Some(outputs) = self.router.step(now) {
             out.extend(outputs);
         }
         out
-    }
-}
-
-/// The [`ThreadedRouter`] hosted behind the driver surface.
-///
-/// Subscriptions live in one shared [`SubscriptionTable`] the dispatch
-/// workers read per job — no per-worker replicas, so subscription
-/// memory is independent of the shard count. Outputs released during
-/// admission are buffered and handed out at the next
-/// [`RouterDriver::pump`], which preserves the FIFO engine's apply
-/// order (releases are in boundary order; the FIFO queue is too).
-///
-/// Dropping the driver joins all worker pools; [`RouterDriver::shutdown`]
-/// does the same but keeps the terminal state readable.
-pub struct ThreadedDriver {
-    router: Option<ThreadedRouter>,
-    subscriptions: Arc<RwLock<SubscriptionTable>>,
-    next_subscriber: u32,
-    /// Outputs released by the graph while admitting, held until the
-    /// facade pumps.
-    pending: Vec<ServiceOutput>,
-    /// Whether admission is bounded (mirrors the FIFO router's
-    /// "sample depth only when bounded" rule).
-    bounded: bool,
-    /// Frames admitted since the graph last went quiescent — the
-    /// mirror of the FIFO router's queue depth, since the facade pumps
-    /// to quiescence after every admission burst.
-    frames_since_quiescence: u64,
-    peak_depth: u64,
-    depth_hist: Histogram,
-    /// What shutdown left behind; reads are served from here once the
-    /// pools are joined.
-    retired: Option<ThreadedRouterParts>,
-    /// Submit admission bursts through [`ThreadedRouter::push_frames`]
-    /// (one edge hand-off per consecutive same-shard run) instead of
-    /// frame at a time. Bit-identical either way.
-    batch: bool,
-}
-
-impl ThreadedDriver {
-    /// Spawns the hosted graph. `overload` maps onto the frame edge's
-    /// backpressure policy exactly as it governs the FIFO queue
-    /// (`None` = blocking admission that never sheds); `batch` selects
-    /// run-merged edge submission for admission bursts.
-    pub fn new(
-        config: FilterConfig,
-        ingest_shards: usize,
-        dispatch_shards: usize,
-        control: ControlGraph,
-        overload: Option<OverloadConfig>,
-        batch: bool,
-        cache: garnet_net::DispatchCacheConfig,
-    ) -> Self {
-        let subscriptions = Arc::new(RwLock::new(SubscriptionTable::new()));
-        let router = ThreadedRouter::hosted(
-            config,
-            ingest_shards,
-            dispatch_shards,
-            subscriptions.clone(),
-            control,
-            overload,
-            cache,
-        );
-        ThreadedDriver {
-            router: Some(router),
-            subscriptions,
-            next_subscriber: 0,
-            pending: Vec::new(),
-            bounded: overload.is_some(),
-            frames_since_quiescence: 0,
-            peak_depth: 0,
-            depth_hist: Histogram::new(),
-            retired: None,
-            batch,
-        }
-    }
-
-    fn retired(&self) -> &ThreadedRouterParts {
-        self.retired.as_ref().expect("a ThreadedDriver is live or retired, never neither")
-    }
-}
-
-impl RouterDriver for ThreadedDriver {
-    fn push_event(&mut self, ev: ServiceEvent, now: SimTime) {
-        let Some(router) = self.router.as_mut() else { return };
-        for released in router.push_event(ev, now) {
-            self.pending.extend(released.outputs);
-        }
-    }
-
-    fn admit_frame(
-        &mut self,
-        receiver: ReceiverId,
-        rssi_dbm: f64,
-        frame: FrameBytes,
-        now: SimTime,
-    ) -> Vec<ServiceOutput> {
-        let Some(router) = self.router.as_mut() else { return Vec::new() };
-        self.frames_since_quiescence += 1;
-        self.peak_depth = self.peak_depth.max(self.frames_since_quiescence);
-        if self.bounded {
-            self.depth_hist.record(self.frames_since_quiescence);
-        }
-        for released in router.push_frame(receiver, rssi_dbm, frame, now) {
-            self.pending.extend(released.outputs);
-        }
-        Vec::new()
-    }
-
-    fn admit_frames(&mut self, frames: Vec<BatchedFrame>, now: SimTime) -> Vec<ServiceOutput> {
-        if !self.batch {
-            let mut escaped = Vec::new();
-            for f in frames {
-                escaped.extend(self.admit_frame(f.receiver, f.rssi_dbm, f.frame, now));
-            }
-            return escaped;
-        }
-        let Some(router) = self.router.as_mut() else { return Vec::new() };
-        for _ in 0..frames.len() {
-            self.frames_since_quiescence += 1;
-            self.peak_depth = self.peak_depth.max(self.frames_since_quiescence);
-            if self.bounded {
-                self.depth_hist.record(self.frames_since_quiescence);
-            }
-        }
-        let staged = frames.into_iter().map(|f| (f.receiver, f.rssi_dbm, f.frame));
-        for released in router.push_frames(staged, now) {
-            self.pending.extend(released.outputs);
-        }
-        Vec::new()
-    }
-
-    fn pump(&mut self, _now: SimTime) -> Vec<ServiceOutput> {
-        let mut out = std::mem::take(&mut self.pending);
-        if let Some(router) = self.router.as_mut() {
-            while !router.is_quiescent() {
-                let released = router.poll();
-                if released.is_empty() {
-                    std::thread::yield_now();
-                }
-                for r in released {
-                    out.extend(r.outputs);
-                }
-            }
-        }
-        self.frames_since_quiescence = 0;
-        out
-    }
-
-    fn register_subscriber(&mut self) -> SubscriberId {
-        let id = SubscriberId::new(self.next_subscriber);
-        self.next_subscriber += 1;
-        id
-    }
-
-    fn subscribe(&mut self, subscriber: SubscriberId, filter: TopicFilter) -> bool {
-        self.subscriptions.write().unwrap_or_else(|e| e.into_inner()).subscribe(subscriber, filter)
-    }
-
-    fn unsubscribe(&mut self, subscriber: SubscriberId, filter: TopicFilter) -> bool {
-        self.subscriptions
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .unsubscribe(subscriber, filter)
-    }
-
-    fn unsubscribe_all(&mut self, subscriber: SubscriberId) -> usize {
-        self.subscriptions.write().unwrap_or_else(|e| e.into_inner()).unsubscribe_all(subscriber)
-    }
-
-    fn would_deliver(&self, stream: StreamId) -> bool {
-        !self.subscriptions.read().unwrap_or_else(|e| e.into_inner()).is_unclaimed(stream)
-    }
-
-    fn set_claimed(&mut self, stream: StreamId, claimed: bool) {
-        match self.router.as_mut() {
-            Some(r) => r.streams_mut().set_claimed(stream, claimed),
-            None => {
-                if let Some(parts) = self.retired.as_mut() {
-                    parts.streams.set_claimed(stream, claimed);
-                }
-            }
-        }
-    }
-
-    fn streams(&self) -> &ShardedStreamRegistry {
-        match &self.router {
-            Some(r) => r.streams(),
-            None => &self.retired().streams,
-        }
-    }
-
-    fn control(&self) -> &ControlGraph {
-        match &self.router {
-            Some(r) => r.control_graph().expect("hosted routers run control inline"),
-            None => self.retired().control.as_ref().expect("hosted routers run control inline"),
-        }
-    }
-
-    fn control_mut(&mut self) -> &mut ControlGraph {
-        match self.router.as_mut() {
-            Some(r) => r.control_graph_mut().expect("hosted routers run control inline"),
-            None => self
-                .retired
-                .as_mut()
-                .and_then(|p| p.control.as_mut())
-                .expect("hosted routers run control inline"),
-        }
-    }
-
-    fn filter_stats(&self) -> FilterStats {
-        match &self.router {
-            Some(r) => r.filter_stats(),
-            None => self.retired().filter_stats,
-        }
-    }
-
-    fn dispatch_stats(&self) -> DispatchStats {
-        match &self.router {
-            Some(r) => r.dispatch_stats(),
-            None => self.retired().dispatch_stats.clone(),
-        }
-    }
-
-    fn overload_totals(&self) -> OverloadTotals {
-        let (offered, shed) = match &self.router {
-            Some(r) => (r.offered_frame_count(), r.shed_frame_count()),
-            None => {
-                let report = &self.retired().report;
-                (report.offered_frames, report.shed_frames)
-            }
-        };
-        // The frame edge has no queue to coalesce against, so
-        // CoalesceFrames degrades to Shed and `coalesced` stays 0.
-        OverloadTotals { offered, shed, coalesced: 0, delivered: offered - shed }
-    }
-
-    fn peak_queue_depth(&self) -> u64 {
-        self.peak_depth
-    }
-
-    fn queue_depth_p99(&self) -> u64 {
-        self.depth_hist.p99()
-    }
-
-    fn shard_restart_count(&self) -> u64 {
-        match &self.router {
-            Some(r) => r.restart_count(),
-            None => self.retired().report.shard_restarts,
-        }
-    }
-
-    fn edge_class_submits(&self) -> [u64; 3] {
-        match &self.router {
-            Some(r) => r.class_submits(),
-            None => [0; 3],
-        }
-    }
-
-    fn pipeline_spans(&self) -> &PipelineSpans {
-        match &self.router {
-            Some(r) => r.pipeline_spans(),
-            None => &self.retired().spans,
-        }
-    }
-
-    fn queue_depth_gauges(&self) -> &QueueDepthGauges {
-        match &self.router {
-            Some(r) => r.queue_depth_gauges(),
-            None => &self.retired().depths,
-        }
-    }
-
-    fn set_telemetry_recording(&mut self, enabled: bool) {
-        if let Some(r) = self.router.as_mut() {
-            r.set_telemetry_recording(enabled);
-        }
-    }
-
-    fn note_telemetry_quiescent(&mut self) {
-        if let Some(r) = self.router.as_mut() {
-            r.note_telemetry_quiescent();
-        }
-    }
-
-    fn take_shard_failures(&mut self) -> Vec<ShardFailure> {
-        match self.router.as_mut() {
-            Some(r) => r.take_root_failures().into_iter().map(|f| f.failure).collect(),
-            None => match self.retired.as_mut() {
-                Some(parts) => std::mem::take(&mut parts.report.failures)
-                    .into_iter()
-                    .map(|f| f.failure)
-                    .collect(),
-                None => Vec::new(),
-            },
-        }
-    }
-
-    fn next_deadline(&self) -> Option<SimTime> {
-        self.router.as_ref().and_then(ThreadedRouter::next_deadline)
-    }
-
-    fn configure_trace(&mut self, config: TraceConfig) {
-        if let Some(r) = self.router.as_mut() {
-            r.configure_trace(config);
-        }
-    }
-
-    fn trace_snapshot(&self) -> TraceSnapshot {
-        match &self.router {
-            Some(r) => r.trace_snapshot(),
-            None => self.retired().report.trace.clone(),
-        }
-    }
-
-    fn trace_drain_to(&mut self, w: &mut dyn std::io::Write) -> std::io::Result<usize> {
-        match self.router.as_mut() {
-            Some(r) => r.trace_drain_to(w),
-            None => {
-                // The recorder died with the worker pools; drain the
-                // snapshot the shutdown report kept instead.
-                let Some(parts) = self.retired.as_mut() else { return Ok(0) };
-                let mut written = 0;
-                for rec in parts.report.trace.records.drain(..) {
-                    writeln!(w, "{}", rec.jsonl_line())?;
-                    written += 1;
-                }
-                Ok(written)
-            }
-        }
-    }
-
-    fn shutdown(&mut self, _now: SimTime) -> Vec<ServiceOutput> {
-        let mut out = std::mem::take(&mut self.pending);
-        if let Some(router) = self.router.take() {
-            let mut parts = router.into_parts();
-            for released in std::mem::take(&mut parts.report.outputs) {
-                out.extend(released.outputs);
-            }
-            self.retired = Some(parts);
-        }
-        self.frames_since_quiescence = 0;
-        out
-    }
-}
-
-impl Drop for ThreadedDriver {
-    /// Joins the worker pools if [`RouterDriver::shutdown`] was never
-    /// called ([`ThreadedRouter::into_parts`] drains every in-flight
-    /// root before joining, so nothing is lost and nothing deadlocks).
-    fn drop(&mut self) {
-        if let Some(router) = self.router.take() {
-            let _ = router.into_parts();
-        }
-    }
-}
-
-impl std::fmt::Debug for ThreadedDriver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadedDriver")
-            .field("router", &self.router)
-            .field("pending", &self.pending.len())
-            .field("retired", &self.retired.is_some())
-            .finish_non_exhaustive()
     }
 }

@@ -17,18 +17,15 @@
 //! [`service::GarnetService`] trait; the [`router::Router`] threads
 //! typed events between them over a FIFO queue, and
 //! [`middleware::Garnet`] is a thin facade that drives a pluggable
-//! execution engine (the [`driver::RouterDriver`] axis: the FIFO
-//! router, or the threaded graph, selected by
-//! [`driver::DriverKind`]) and hosts the consumers. The filtering hot
-//! path is partitioned by
-//! sensor id into [`router::ShardedIngest`] shards, and the dispatch
-//! stage into [`router::ShardedDispatch`] shards by the same hash, each
-//! with a deterministic merge — so any shard count produces
-//! bit-identical outputs under the simulation driver, while
-//! [`router::ThreadedIngest`] runs the ingest shards on real threads
-//! and [`router::ThreadedRouter`] runs the *entire* service graph
-//! (filtering → dispatch → control) on per-stage workers with
-//! sequence-merged, equally deterministic output.
+//! execution engine (the [`driver::RouterDriver`] axis, selected by
+//! [`driver::DriverKind`]: the FIFO router with every stage inline, or
+//! the same router with its ingest shards on worker threads) and hosts
+//! the consumers. The filtering hot path is partitioned by sensor id
+//! into [`router::ShardedIngest`] shards, and the dispatch stage into
+//! [`router::ShardedDispatch`] shards by the same hash, each with a
+//! deterministic merge — so any shard count, on either engine, produces
+//! bit-identical outputs. [`router::ThreadedIngest`] runs the ingest
+//! shards on real threads without the router, pipelined.
 //! [`pipeline::PipelineSim`] closes the loop with the simulated radio
 //! field for experiments.
 //!
@@ -76,9 +73,7 @@ mod trace;
 
 pub use archive::{store_slot, ArchiveBackend, ArchiveConfig, ArchiveLedger, StoreSlot};
 pub use consumer::{Consumer, ConsumerCtx};
-pub use driver::{
-    DispatchStats, DriverKind, FifoDriver, FilterStats, RouterDriver, ThreadedDriver,
-};
+pub use driver::{DispatchStats, DriverKind, FifoDriver, FilterStats, RouterDriver};
 pub use filtering::{Delivery, FilterConfig, FilteringService, Observation};
 pub use middleware::{Garnet, GarnetConfig, OverloadStats, StepOutput};
 pub use pipeline::{PipelineConfig, PipelineSim};
@@ -87,9 +82,8 @@ pub use qos::{
     QosScheduler, Release,
 };
 pub use router::{
-    ControlGraph, DispatchStage, FrameAdmission, IngestBatch, IngestReport, OverloadConfig,
-    OverloadPolicy, OverloadTotals, RootOutput, Router, Services, ShardedDispatch, ShardedIngest,
-    ThreadedIngest, ThreadedRouter, ThreadedRouterParts, ThreadedRouterReport,
+    ControlGraph, FrameAdmission, IngestBatch, IngestReport, OverloadConfig, OverloadPolicy,
+    OverloadTotals, Router, Services, ShardedDispatch, ShardedIngest, ThreadedIngest,
 };
 pub use service::{GarnetService, ServiceEvent, ServiceOutput};
 pub use telemetry::{

@@ -7,9 +7,9 @@
 //! driver to quiescence, applying the outputs that escape the service
 //! graph (consumer callbacks, control plans, denials, expiries).
 //! [`GarnetConfig::driver`] picks the engine — the FIFO
-//! [`crate::router::Router`] (the simulation reference) or the hosted
-//! [`crate::router::ThreadedRouter`] (worker pools per stage) — and
-//! every public entry point behaves identically on both:
+//! [`crate::router::Router`] with every stage inline (the simulation
+//! reference), or the same router with its ingest shards on worker
+//! threads — and every public entry point behaves identically on both:
 //!
 //! ```text
 //!   on_frame ─→ ShardedIngest ─→ Dispatching ─→ consumers ─→ actions
@@ -55,9 +55,7 @@ use crate::actuation::{ActuationConfig, ActuationService};
 use crate::archive::{ack_record, frame_record, tick_record, ArchiveConfig, ArchiveService};
 use crate::consumer::{Consumer, ConsumerAction, ConsumerCtx};
 use crate::coordinator::{CoordinationMode, PolicyAction, SuperCoordinator};
-use crate::driver::{
-    DispatchStats, DriverKind, FifoDriver, FilterStats, RouterDriver, ThreadedDriver,
-};
+use crate::driver::{DispatchStats, DriverKind, FifoDriver, FilterStats, RouterDriver};
 use crate::filtering::{Delivery, FilterConfig};
 use crate::location::{LocationConfig, LocationEstimate, LocationService};
 use crate::orphanage::{Orphanage, OrphanageConfig};
@@ -95,23 +93,22 @@ pub struct QuiesceConfig {
 /// Facade configuration.
 #[derive(Clone, Debug)]
 pub struct GarnetConfig {
-    /// Which execution engine hosts the service graph. Both engines
-    /// produce identical deliveries, metrics and (modulo shard ids)
-    /// traces; [`DriverKind::Threaded`] runs filtering and dispatch on
-    /// worker pools for wall-clock parallelism.
+    /// Which execution engine hosts the service graph. Both engines run
+    /// the same FIFO router and produce identical deliveries, metrics
+    /// and traces; [`DriverKind::Threaded`] runs the ingest shards on
+    /// worker threads.
     pub driver: DriverKind,
     /// Filtering Service tuning.
     pub filter: FilterConfig,
     /// Number of ingest shards the filtering hot path is partitioned
-    /// into (by sensor id). Any value produces bit-identical outputs
-    /// under the simulation driver; values above 1 let threaded drivers
-    /// run filtering in parallel. 0 is treated as 1.
+    /// into (by sensor id). Any value produces bit-identical outputs;
+    /// values above 1 let the threaded engine run filtering in
+    /// parallel. 0 is treated as 1.
     pub ingest_shards: usize,
     /// Number of dispatch shards the delivery stage is partitioned into
-    /// (by sensor id, same hash as the ingest shards). Any value
-    /// produces bit-identical outputs under the simulation driver;
-    /// values above 1 let threaded drivers run subscription matching in
-    /// parallel. 0 is treated as 1.
+    /// (by sensor id, same hash as the ingest shards), each with its own
+    /// subscription partition and match cache. Any value produces
+    /// bit-identical outputs. 0 is treated as 1.
     pub dispatch_shards: usize,
     /// Orphanage tuning.
     pub orphanage: OrphanageConfig,
@@ -149,10 +146,10 @@ pub struct GarnetConfig {
     /// the `trace` cargo feature is compiled in; without it the tracer
     /// is a zero-sized no-op regardless of this value.
     pub trace_capacity: usize,
-    /// Whether frame bursts move through the engines on the batched
-    /// hot path (batch pumping on the FIFO router, run-merged edge
-    /// submission on the threaded graph). `false` forces the legacy
-    /// frame-at-a-time path. Both settings are bit-identical in every
+    /// Whether frame bursts move through the engine on the batched hot
+    /// path (consecutive queued frames filtered as one pass — one
+    /// worker job per shard on the threaded engine). `false` forces the
+    /// legacy frame-at-a-time path. Both settings are bit-identical in every
     /// observable — this knob exists so CI can prove it, via the
     /// `GARNET_TEST_BATCH` env toggle the default honours.
     pub batch_ingest: bool,
@@ -457,28 +454,18 @@ impl Garnet {
             _ => None,
         };
         let engine_overload = if qos.is_some() { None } else { config.overload };
-        let mut driver: Box<dyn RouterDriver> = match config.driver {
-            DriverKind::Fifo => {
-                let services = Services {
-                    ingest: ShardedIngest::new(config.filter, config.ingest_shards),
-                    dispatch: ShardedDispatch::with_cache(
-                        config.dispatch_shards,
-                        config.dispatch_cache,
-                    ),
-                    control,
-                };
-                Box::new(FifoDriver::new(services, engine_overload, config.batch_ingest))
-            }
-            DriverKind::Threaded => Box::new(ThreadedDriver::new(
-                config.filter,
-                config.ingest_shards,
-                config.dispatch_shards,
-                control,
-                engine_overload,
-                config.batch_ingest,
-                config.dispatch_cache,
-            )),
+        // The engines differ only in where the filtering shards run.
+        let ingest = match config.driver {
+            DriverKind::Fifo => ShardedIngest::new(config.filter, config.ingest_shards),
+            DriverKind::Threaded => ShardedIngest::pooled(config.filter, config.ingest_shards),
         };
+        let services = Services {
+            ingest,
+            dispatch: ShardedDispatch::with_cache(config.dispatch_shards, config.dispatch_cache),
+            control,
+        };
+        let mut driver: Box<dyn RouterDriver> =
+            Box::new(FifoDriver::new(services, engine_overload, config.batch_ingest));
         driver
             .configure_trace(garnet_simkit::trace::TraceConfig { capacity: config.trace_capacity });
         driver.set_telemetry_recording(config.telemetry.spans);
@@ -691,8 +678,8 @@ impl Garnet {
     /// single pump — the preferred ingest entry. Batching makes the
     /// bounded queue and its overload policy observable, and the whole
     /// burst is admitted, handed to the ingest stage and filtered as
-    /// one unit (one channel hand-off per shard run on the threaded
-    /// engine, one decode pass per run on the FIFO engine).
+    /// one unit (one filtering pass per run of queued frames: one worker
+    /// job per shard on the threaded engine).
     ///
     /// Frames arriving as [`FrameBytes`] handles (e.g. out of receiver
     /// buffers) enter zero-copy; `Vec<u8>` payloads are absorbed
@@ -1055,9 +1042,7 @@ impl Garnet {
         self.shard_failure_total += failures.len() as u64;
         out.shard_failures.extend(failures);
         // The engine is drained: telemetry depth counts restart from
-        // zero here, the one quiescence boundary both engines reach
-        // deterministically (a threaded poll observing its workers
-        // idle mid-burst is wall-clock, not logical, quiescence).
+        // zero here, the one quiescence boundary both engines reach.
         self.driver.note_telemetry_quiescent();
     }
 
@@ -1353,9 +1338,9 @@ impl Garnet {
         self.delivery.backlog()
     }
 
-    /// Jobs accepted per [`garnet_net::EdgeClass`] across the engine's
-    /// stage edges (all zeros under the FIFO engine, which has no
-    /// channel boundaries).
+    /// Jobs handed to the threaded engine's ingest workers per
+    /// [`garnet_net::EdgeClass`] (all zeros under the FIFO engine,
+    /// which has no channel boundary).
     pub fn edge_class_submits(&self) -> [u64; 3] {
         self.driver.edge_class_submits()
     }
@@ -1695,15 +1680,13 @@ impl Garnet {
     /// retires the archive tap (flushing pending appends within
     /// [`ArchiveConfig::flush_timeout`], returning a
     /// [`ArchiveBackend::Custom`](crate::archive::ArchiveBackend) store
-    /// to its slot), then asks the driver to retire its workers
-    /// (joining any pools) and applies whatever the shutdown released.
-    /// After this call the facade still answers reads (statistics,
-    /// traces, control-plane accessors), but new ingest is a no-op
-    /// under the threaded driver.
+    /// to its slot), then drains the engine and applies whatever the
+    /// shutdown released. After this call the facade still answers
+    /// reads (statistics, traces, control-plane accessors).
     ///
-    /// Dropping a [`Garnet`] without calling this is safe — the driver's
-    /// `Drop` joins its pools — but discards in-flight outputs and the
-    /// archive's pending tail.
+    /// Dropping a [`Garnet`] without calling this is safe — the ingest
+    /// pool's `Drop` joins its workers — but discards the archive's
+    /// pending tail.
     ///
     /// # Errors
     ///
@@ -1725,9 +1708,8 @@ impl Garnet {
         }
         self.pump(now, &mut out);
         // Archive first: its log must capture every input the engines
-        // processed, and a wedged store must not leave worker pools
-        // unjoined (the drain is bounded; the pools are joined either
-        // way below).
+        // processed (the drain is bounded, so a wedged store cannot
+        // stall the engine drain below).
         let archive_ok = match &mut self.archive {
             Some(archive) => archive.shutdown(now),
             None => true,

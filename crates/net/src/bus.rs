@@ -561,7 +561,10 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
         let idx = shard % self.jobs.len();
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.jobs[idx].send(vec![(seq, job)]).is_ok() {
+        // A poisoned shard's worker has exited or is about to: a send
+        // could still land in its queue and never be answered, so the
+        // job is recorded lost without being sent.
+        if !self.poisoned[idx] && self.jobs[idx].send(vec![(seq, job)]).is_ok() {
             self.in_flight[idx].push(seq);
         } else {
             self.note_lost(idx, seq, "submitted to a poisoned shard".to_owned());
@@ -597,7 +600,7 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
         }
         self.next_seq += jobs.len() as u64;
         let batch: JobBatch<I> = (first..self.next_seq).zip(jobs).collect();
-        if self.jobs[idx].send(batch).is_ok() {
+        if !self.poisoned[idx] && self.jobs[idx].send(batch).is_ok() {
             self.in_flight[idx].extend(first..self.next_seq);
         } else {
             for seq in first..self.next_seq {
@@ -665,28 +668,48 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
     }
 
     fn absorb_ready(&mut self) {
-        while let Ok((shard, results)) = self.results.try_recv() {
-            for (seq, res) in results {
-                if let Some(pos) = self.in_flight[shard].iter().position(|&s| s == seq) {
-                    self.in_flight[shard].remove(pos);
+        while let Ok(result) = self.results.try_recv() {
+            self.absorb(result);
+        }
+    }
+
+    fn absorb(&mut self, (shard, results): ShardResult<O>) {
+        for (seq, res) in results {
+            if let Some(pos) = self.in_flight[shard].iter().position(|&s| s == seq) {
+                self.in_flight[shard].remove(pos);
+            }
+            match res {
+                Ok(o) => {
+                    self.collected.insert(seq, o);
                 }
-                match res {
-                    Ok(o) => {
-                        self.collected.insert(seq, o);
-                    }
-                    Err(reason) => {
-                        // The worker exited after this panic, taking
-                        // every job still queued behind it on this
-                        // shard.
-                        let stranded = std::mem::take(&mut self.in_flight[shard]);
-                        self.note_lost(shard, seq, reason);
-                        for s in stranded {
-                            self.note_lost(shard, s, "stranded behind a shard panic".to_owned());
-                        }
+                Err(reason) => {
+                    // The worker exited after this panic, taking every
+                    // job still queued behind it on this shard.
+                    let stranded = std::mem::take(&mut self.in_flight[shard]);
+                    self.note_lost(shard, seq, reason);
+                    for s in stranded {
+                        self.note_lost(shard, s, "stranded behind a shard panic".to_owned());
                     }
                 }
             }
         }
+    }
+
+    /// Blocks on the result channel until every job submitted so far
+    /// has returned or been recorded as a [`ShardFailure`], then
+    /// returns the outputs in submission order (as [`ShardPool::drain`]
+    /// would). A worker panic ends the wait for its shard's jobs, and a
+    /// job submitted to a dead shard is recorded lost at submission, so
+    /// the wait never blocks on a seq that cannot arrive.
+    pub fn wait(&mut self) -> Vec<O> {
+        self.absorb_ready();
+        while self.in_flight.iter().any(|jobs| !jobs.is_empty()) {
+            match self.results.recv() {
+                Ok(result) => self.absorb(result),
+                Err(_) => break, // unreachable: the pool holds a sender
+            }
+        }
+        self.drain()
     }
 
     /// Returns the outputs that are ready *and* form a gap-free prefix of
@@ -780,6 +803,17 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
         }
         let collected = std::mem::take(&mut self.collected);
         (collected.into_values().collect(), std::mem::take(&mut self.failures))
+    }
+}
+
+impl<I: Send + 'static, O: Send + 'static> Drop for ShardPool<I, O> {
+    /// Closes the job queues and joins the workers (a no-op after
+    /// [`ShardPool::finish`], which has already done both).
+    fn drop(&mut self) {
+        self.jobs.clear();
+        for w in self.workers.drain(..).flatten() {
+            let _ = w.join();
+        }
     }
 }
 
@@ -1030,6 +1064,71 @@ mod tests {
             assert_eq!(pool.poisoned_shards(), vec![1]);
             let (rest, more) = pool.finish();
             assert!(rest.is_empty() && more.is_empty());
+        });
+    }
+
+    /// Runs `body` on its own thread and fails the test if it has not
+    /// finished within 5 s, so a hung wait fails instead of stalling.
+    fn within_5s<R: Send + 'static>(body: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(body());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(5)).expect("wait did not return within 5 s")
+    }
+
+    #[test]
+    fn wait_returns_when_a_worker_panics_mid_job() {
+        quiet_panics(|| {
+            let (out, failures) = within_5s(|| {
+                let mut pool: ShardPool<u32, u32> = ShardPool::new(2, 8, |_| {
+                    Box::new(|x| {
+                        if x == 13 {
+                            thread::sleep(std::time::Duration::from_millis(20));
+                            panic!("mid-job fault");
+                        }
+                        x
+                    })
+                });
+                pool.submit(0, 1);
+                pool.submit(1, 13);
+                pool.submit(1, 5); // stranded behind the panic
+                pool.submit(0, 2);
+                let out = pool.wait();
+                (out, pool.take_failures())
+            });
+            assert_eq!(out, vec![1, 2], "the healthy shard's outputs, in submission order");
+            let lost: Vec<u64> = failures.iter().map(|f| f.seq).collect();
+            assert_eq!(lost, vec![1, 2], "the panicked job and the one stranded behind it");
+            assert_eq!(failures[0].reason, "mid-job fault");
+        });
+    }
+
+    #[test]
+    fn wait_never_blocks_on_a_job_submitted_to_a_dead_shard() {
+        quiet_panics(|| {
+            let (out, failures, poisoned) = within_5s(|| {
+                let mut pool: ShardPool<u32, u32> = ShardPool::new(1, 8, |_| {
+                    Box::new(|x| {
+                        if x == 99 {
+                            panic!("boom");
+                        }
+                        x
+                    })
+                });
+                pool.submit(0, 99);
+                assert!(pool.wait().is_empty(), "the only job died");
+                // The shard is dead and unsupervised: this job is
+                // recorded lost at submission, never sent.
+                pool.submit(0, 7);
+                let out = pool.wait();
+                (out, pool.take_failures(), pool.poisoned_shards())
+            });
+            assert!(out.is_empty());
+            assert_eq!(failures.len(), 2);
+            assert_eq!(failures[1].seq, 1);
+            assert_eq!(failures[1].reason, "submitted to a poisoned shard");
+            assert_eq!(poisoned, vec![0]);
         });
     }
 

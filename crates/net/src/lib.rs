@@ -19,8 +19,6 @@
 //!   use the deterministic `garnet-simkit` event queue instead);
 //! * [`rpc`] — request/response correlation over the bus (the "Remote
 //!   Procedure Call" arrows of Figure 1);
-//! * [`threaded_router`] — root-attributed stage edges over [`bus`]'s
-//!   `ShardPool`, the plumbing under the full threaded service graph;
 //! * [`archiver`] — the background writer that drains pre-encoded
 //!   archive records into a `garnet-store` log without ever blocking
 //!   frame delivery.
@@ -34,7 +32,6 @@ pub mod bus;
 pub mod pubsub;
 pub mod registry;
 pub mod rpc;
-pub mod threaded_router;
 
 pub use archiver::{Archiver, ArchiverCounters, ArchiverShutdown, FlushOutcome};
 pub use auth::{AuthService, Capability, CapabilitySet, Principal, Token};
@@ -47,4 +44,3 @@ pub use pubsub::{
 };
 pub use registry::{ServiceDescriptor, ServiceKind, ServiceRegistry};
 pub use rpc::{CallId, RpcTable};
-pub use threaded_router::{RootFailure, StageEdge};

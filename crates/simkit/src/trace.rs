@@ -5,10 +5,11 @@
 //! records those arrows actually firing: one compact [`TraceRecord`] per
 //! `ServiceEvent` hop, held in a fixed-capacity ring buffer
 //! ([`Tracer`]), plus per-stage occupancy and latency fed into the
-//! log-bucketed [`Histogram`]. A driver (the single-threaded `Router`
-//! or the `ThreadedRouter` in `garnet-core`) appends records in the
-//! canonical event order, so traces from either driver are comparable
-//! line-for-line (modulo shard ids).
+//! log-bucketed [`Histogram`]. The FIFO `Router` in `garnet-core`
+//! appends records in its queue order. Both of its engines — ingest
+//! shards inline, or ingest shards on worker threads — run that one
+//! router, so their traces are identical line for line; traces across
+//! shard layouts differ only in shard ids.
 //!
 //! The recorder is **feature-gated**: with the `trace` cargo feature
 //! off, [`Tracer`] is a zero-sized type whose methods are inlined
@@ -299,7 +300,7 @@ impl TraceSnapshot {
     }
 
     /// The dump with every `shard` field omitted — the canonical form
-    /// for comparing a threaded trace against a single-threaded one.
+    /// for comparing traces across shard layouts.
     pub fn to_jsonl_modulo_shards(&self) -> String {
         let mut out = String::with_capacity(self.records.len() * 96);
         for r in &self.records {

@@ -569,6 +569,116 @@ fn telemetry_does_not_change_the_world() {
     }
 }
 
+/// One boundary input of [`messy_schedule`]: a frame, or a tick
+/// (reorder flush + actuation sweep).
+enum Boundary {
+    Frame(Vec<u8>, SimTime),
+    Tick(SimTime),
+}
+
+/// A messy multi-sensor schedule: drops (reorder gaps), duplicates,
+/// periodic ticks, and a terminal far-future tick.
+fn messy_schedule() -> Vec<Boundary> {
+    let mut sched = Vec::new();
+    let mut t = 0u64;
+    for seq in 0..40u16 {
+        for sensor in 1..=6u32 {
+            if (u32::from(seq) + sensor) % 7 == 0 {
+                continue; // dropped in flight
+            }
+            let stream = StreamId::new(SensorId::new(sensor).unwrap(), StreamIndex::new(0));
+            let bytes = DataMessage::builder(stream)
+                .seq(SequenceNumber::new(seq))
+                .payload(vec![seq as u8, sensor as u8])
+                .build()
+                .unwrap()
+                .encode_to_vec();
+            let copies = if (u32::from(seq) + sensor) % 5 == 0 { 2 } else { 1 };
+            for _ in 0..copies {
+                sched.push(Boundary::Frame(bytes.clone(), SimTime::from_millis(t)));
+                t += 2;
+            }
+        }
+        if seq % 10 == 9 {
+            t += 700;
+            sched.push(Boundary::Tick(SimTime::from_millis(t)));
+        }
+    }
+    sched.push(Boundary::Tick(SimTime::from_millis(t + 60_000)));
+    sched
+}
+
+/// Feeds [`messy_schedule`] frame by frame into a facade on `driver`
+/// with the given shard layout — one consumer on even sensors 2 and 4,
+/// one on sensor 6's stream, odd sensors orphaned — and fingerprints
+/// every consumer delivery in order, every returned `StepOutput` and
+/// the final metrics report.
+fn messy_run(driver: DriverKind, ingest_shards: usize, dispatch_shards: usize) -> Vec<String> {
+    let mut g = Garnet::new(GarnetConfig {
+        driver,
+        ingest_shards,
+        dispatch_shards,
+        ..GarnetConfig::default()
+    });
+    let token = g.issue_default_token("recorder");
+    let logs = [Arc::new(Mutex::new(Vec::new())), Arc::new(Mutex::new(Vec::new()))];
+    let sensor = |s: u32| SensorId::new(s).unwrap();
+    let filters = [
+        vec![TopicFilter::Sensor(sensor(2)), TopicFilter::Sensor(sensor(4))],
+        vec![TopicFilter::Stream(StreamId::new(sensor(6), StreamIndex::new(0)))],
+    ];
+    for (log, filters) in logs.iter().zip(filters) {
+        let consumer = RecordingConsumer { log: Arc::clone(log) };
+        let id = g.register_consumer(Box::new(consumer), &token, 0).unwrap();
+        for filter in filters {
+            g.subscribe(id, filter, &token).unwrap();
+        }
+    }
+    let mut fingerprint = Vec::new();
+    for b in messy_schedule() {
+        let out = match b {
+            Boundary::Frame(bytes, at) => g.on_frame(ReceiverId::new(0), -40.0, &bytes, at),
+            Boundary::Tick(at) => g.on_tick(at),
+        };
+        fingerprint.push(format!("{out:?}"));
+    }
+    for (i, log) in logs.iter().enumerate() {
+        fingerprint
+            .extend(log.lock().unwrap().iter().map(|entry| format!("consumer {i}: {entry:?}")));
+    }
+    fingerprint.push(g.metrics().report());
+    fingerprint
+}
+
+#[test]
+fn threaded_engine_matches_fifo_on_a_messy_schedule() {
+    let want = messy_run(DriverKind::Fifo, 1, 1);
+    assert!(
+        want.iter().any(|l| l.starts_with("consumer 1:")),
+        "the schedule must reach both consumers"
+    );
+    assert_eq!(messy_run(DriverKind::Threaded, 1, 1), want, "threaded 1x1 diverged from FIFO");
+}
+
+#[test]
+fn threaded_engine_output_is_shard_count_invariant() {
+    let want = messy_run(DriverKind::Threaded, 1, 1);
+    for ingest in [1usize, 2, 4] {
+        for dispatch in [1usize, 2, 4] {
+            assert_eq!(
+                messy_run(DriverKind::Threaded, ingest, dispatch),
+                want,
+                "threaded {ingest}x{dispatch} diverged from 1x1"
+            );
+        }
+    }
+}
+
+#[test]
+fn threaded_engine_repeats_exactly() {
+    assert_eq!(messy_run(DriverKind::Threaded, 4, 2), messy_run(DriverKind::Threaded, 4, 2));
+}
+
 #[test]
 fn different_seed_different_world() {
     let a = run(1);

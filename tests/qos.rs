@@ -328,3 +328,37 @@ fn legacy_mode_reproduces_the_engine_overload_path() {
     assert_eq!(out.overload.offered, out.overload.shed + out.overload.delivered);
     assert!(out.overload.shed > 0, "the engine's own bounded queue still sheds");
 }
+
+#[test]
+fn legacy_overload_ledger_is_engine_invariant() {
+    // Under QosMode::Legacy the router's own bounded queue governs
+    // admission, and both engines run that router: the OverloadStats
+    // ledger of an overloaded burst must not depend on the engine —
+    // CoalesceFrames coalesces on the threaded engine too, and Shed
+    // sheds the same frames.
+    const LEGACY_CAPACITY: usize = 8;
+    let ledger = |driver, policy| {
+        let mut g = Garnet::new(GarnetConfig {
+            driver,
+            overload: Some(OverloadConfig { capacity: LEGACY_CAPACITY, policy }),
+            qos: QosConfig { mode: QosMode::Legacy, ..QosConfig::default() },
+            ..GarnetConfig::default()
+        });
+        let (_, log) = register(&mut g, "sink");
+        assert!(!g.qos_active());
+        let out = g.on_frames(burst(4), SimTime::from_millis(1));
+        let o = out.overload;
+        let delivered = log.lock().unwrap().clone();
+        ((o.offered, o.shed, o.coalesced, o.delivered, o.peak_queue_depth), delivered)
+    };
+    for policy in [OverloadPolicy::Shed, OverloadPolicy::CoalesceFrames] {
+        let (fifo, fifo_log) = ledger(DriverKind::Fifo, policy);
+        let (threaded, threaded_log) = ledger(DriverKind::Threaded, policy);
+        assert!(fifo.1 > 0, "{policy:?}: the burst must overflow capacity {LEGACY_CAPACITY}");
+        if policy == OverloadPolicy::CoalesceFrames {
+            assert!(fifo.2 > 0, "{policy:?}: the burst must coalesce");
+        }
+        assert_eq!(threaded, fifo, "{policy:?}: (offered, shed, coalesced, delivered, peak)");
+        assert_eq!(threaded_log, fifo_log, "{policy:?}: surviving deliveries");
+    }
+}
