@@ -70,16 +70,11 @@ cargo run -q --example telemetry_node -- "$telemetry_sink" > /dev/null
 cargo run -q -p garnet-ctl --bin garnetctl -- dump "$telemetry_sink" > /dev/null
 cargo run -q -p garnet-ctl --bin garnetctl -- health "$telemetry_sink"
 
-# Per-consumer QoS (ISSUE 10): the qos suite plus the determinism
-# bit-identity arms rerun with the scheduler forced off —
-# GarnetConfig::default() honours GARNET_TEST_QOS, so Legacy mode must
-# reproduce the pre-QoS world in both feature configs. Then the
-# starvation path: garnetctl health must exit non-zero on a sink whose
-# window shows a class with offers and no deliveries.
-echo "==> qos verify: GARNET_TEST_QOS=legacy determinism + qos, starved-class health gate"
+# Per-consumer QoS: the qos suite, then the starvation path:
+# garnetctl health must exit non-zero on a sink whose window shows a
+# class with offers and no deliveries.
+echo "==> qos verify: qos suite, starved-class health gate"
 cargo test -q --test qos
-GARNET_TEST_QOS=legacy cargo test -q --test determinism --test qos
-GARNET_TEST_QOS=legacy cargo test -q --test determinism --test qos --features trace
 starved_sink="$(mktemp -d)"
 trap 'rm -rf "$telemetry_sink" "$starved_sink"' EXIT
 printf '%s\n' \

@@ -1,26 +1,25 @@
-//! E21: the admission batch-size sweep on the zero-copy frame path
-//! (writes `BENCH_batch.json`, shared sweep schema — the `shards` field
-//! of each point carries the batch size; topology is one shard per
-//! stage).
+//! E21: the admission batch-size sweep on the zero-copy frame path,
+//! through the facade on the threaded engine (writes `BENCH_batch.json`;
+//! topology is one shard per stage).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use garnet_bench::e03_pipeline::{run_shard_point_batched, shard_workload};
-use garnet_bench::e21_batch::{batch_sweep_json, ingest_batch_sweep, BATCH_SIZES};
+use garnet_bench::e03_pipeline::shard_workload;
+use garnet_bench::e21_batch::{batch_sweep, batch_sweep_json, run_batch_point, BATCH_SIZES};
 
 fn bench(c: &mut Criterion) {
-    let frames = 100_000u32;
+    let frames = 20_000u32;
     let workload = shard_workload(frames, 64);
     let mut group = c.benchmark_group("e21_batch");
     group.sample_size(10);
     group.throughput(Throughput::Elements(u64::from(frames)));
     for batch in BATCH_SIZES {
         group.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |b, &size| {
-            b.iter(|| std::hint::black_box(run_shard_point_batched(&workload, 1, size)));
+            b.iter(|| std::hint::black_box(run_batch_point(&workload, size)));
         });
     }
     group.finish();
 
-    let points = ingest_batch_sweep(200_000, 64, &BATCH_SIZES);
+    let points = batch_sweep(frames, 64, &BATCH_SIZES);
     // The acceptance shape: per-frame cost falls monotonically from
     // batch size 1 to 64 (256 may flatten; it only has to hold 64's
     // gain, with 10% measurement slack).
@@ -46,7 +45,7 @@ fn bench(c: &mut Criterion) {
             );
         }
     }
-    let json = batch_sweep_json("e21_batch", "ThreadedIngest", &points);
+    let json = batch_sweep_json("e21_batch", &points);
     if let Err(e) = std::fs::write("BENCH_batch.json", &json) {
         eprintln!("could not write BENCH_batch.json: {e}");
     }

@@ -1,9 +1,10 @@
 //! E3: the full Fig. 1 pipeline at one operating point, plus the ingest
-//! shard sweep (writes `BENCH_pipeline_shards.json` next to the bench's
-//! working directory).
+//! shard sweep through the facade on the threaded engine (writes
+//! `BENCH_pipeline_shards.json` next to the bench's working directory).
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use garnet_bench::e03_pipeline::{
     expected_min_speedup, host_cores, run_point, run_shard_point, shard_workload, sweep_json,
+    SHARD_SWEEP_DRIVER,
 };
 use garnet_simkit::{SimDuration, SimTime};
 
@@ -33,6 +34,13 @@ fn bench(c: &mut Criterion) {
 
     let cores = host_cores();
     let points: Vec<_> = [1usize, 2, 4, 8].iter().map(|&s| run_shard_point(&workload, s)).collect();
+    // Record the sweep before gating it, so a failing gate still
+    // leaves its measurements behind.
+    let json = sweep_json("e03_pipeline_shards", SHARD_SWEEP_DRIVER, cores, &points);
+    if let Err(e) = std::fs::write("BENCH_pipeline_shards.json", &json) {
+        eprintln!("could not write BENCH_pipeline_shards.json: {e}");
+    }
+    println!("{json}");
     let base = points[0].throughput_fps;
     for p in &points {
         // Only claim a speedup where the host can actually deliver one;
@@ -49,11 +57,6 @@ fn bench(c: &mut Criterion) {
             );
         }
     }
-    let json = sweep_json("e03_pipeline_shards", "ThreadedIngest", cores, &points);
-    if let Err(e) = std::fs::write("BENCH_pipeline_shards.json", &json) {
-        eprintln!("could not write BENCH_pipeline_shards.json: {e}");
-    }
-    println!("{json}");
 }
 
 criterion_group!(benches, bench);

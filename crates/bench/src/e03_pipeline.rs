@@ -7,15 +7,15 @@
 //! middleware is not the bottleneck at sensor-network rates) while
 //! throughput scales linearly with offered load.
 
+use garnet_core::middleware::GarnetConfig;
 use garnet_core::pipeline::LatencyProbe;
-use garnet_core::router::ThreadedIngest;
-use garnet_core::FilterConfig;
-use garnet_net::{SubscriberId, SubscriptionTable, TopicFilter};
-use garnet_radio::ReceiverId;
+use garnet_core::DriverKind;
+use garnet_net::TopicFilter;
 use garnet_simkit::{SimDuration, SimTime};
 use garnet_wire::{DataMessage, FrameBytes, SensorId, SequenceNumber, StreamId, StreamIndex};
 use garnet_workloads::HabitatScenario;
 
+use crate::e20_runtime_mode::run_facade_point;
 use crate::table::{f2, n, Table};
 
 /// One operating point.
@@ -89,14 +89,14 @@ pub fn run() -> (Vec<PipelinePoint>, Table) {
     (points, table)
 }
 
-/// One sample of the ingest shard sweep.
+/// One sample of a wall-clock sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardPoint {
-    /// Worker shards in the threaded ingest driver.
+    /// Ingest shards on the threaded engine.
     pub shards: usize,
-    /// Frames pushed through the stage.
+    /// Frames pushed through the facade.
     pub frames: u64,
-    /// Wall-clock for the whole batch (first push to join), µs.
+    /// Wall-clock for the whole workload (first burst to shutdown), µs.
     pub elapsed_us: u64,
     /// Frames per second of wall-clock.
     pub throughput_fps: f64,
@@ -124,50 +124,23 @@ pub fn shard_workload(frames: u32, sensors: u32) -> Vec<FrameBytes> {
         .collect()
 }
 
-/// Pushes `workload` through a [`ThreadedIngest`] with `shards` workers
-/// and returns the wall-clock sample. Panics if any frame is lost (the
-/// workload is duplicate- and gap-free, so delivered must equal pushed).
-/// Batch size 64 is the stage's amortised steady state — the E21 sweep
-/// varies it.
-pub fn run_shard_point(workload: &[FrameBytes], shards: usize) -> ShardPoint {
-    run_shard_point_batched(workload, shards, 64)
-}
+/// Frames per `on_frames` burst in the shard sweep: the batched hot
+/// path's steady state (E21 varies it).
+pub const SHARD_SWEEP_BATCH: usize = 64;
 
-/// [`run_shard_point`] with an admission batch size: frames enter the
-/// stage in bursts of `batch` through [`ThreadedIngest::push_frames`],
-/// and the stage submits worker jobs of the same size, so each batch
-/// costs one channel hand-off (and one result hand-off back) instead of
-/// one per frame. `batch == 1` is the honest per-frame baseline: every
-/// frame pays the full enqueue/rendezvous/merge cost alone.
-pub fn run_shard_point_batched(workload: &[FrameBytes], shards: usize, batch: usize) -> ShardPoint {
-    let mut subs = SubscriptionTable::new();
-    subs.subscribe(SubscriberId::new(1), TopicFilter::All);
-    let started = std::time::Instant::now();
-    let mut ingest = ThreadedIngest::new(FilterConfig::default(), shards, batch.max(1), &subs);
-    let mut delivered = 0u64;
-    let mut at_base = 0u64;
-    for chunk in workload.chunks(batch.max(1)) {
-        let at = SimTime::from_micros(at_base);
-        at_base += chunk.len() as u64;
-        let staged = chunk.iter().map(|frame| (ReceiverId::new(0), -40.0, frame.clone()));
-        for b in ingest.push_frames(staged, at) {
-            delivered += b.deliveries.len() as u64;
-        }
-    }
-    for b in ingest.flush(SimTime::from_secs(3_600)) {
-        delivered += b.deliveries.len() as u64;
-    }
-    for b in ingest.finish().batches {
-        delivered += b.deliveries.len() as u64;
-    }
-    let elapsed = started.elapsed();
-    assert_eq!(delivered, workload.len() as u64, "ingest lost frames");
-    ShardPoint {
-        shards,
-        frames: delivered,
-        elapsed_us: elapsed.as_micros() as u64,
-        throughput_fps: delivered as f64 / elapsed.as_secs_f64(),
-    }
+/// Pushes `workload` through the facade on the threaded engine with
+/// `shards` ingest shards (one dispatch shard, one consumer of every
+/// stream) in bursts of [`SHARD_SWEEP_BATCH`], and returns the
+/// wall-clock sample — the ingest stage as deployments run it. Panics
+/// if any delivery is lost (the workload is duplicate- and gap-free).
+pub fn run_shard_point(workload: &[FrameBytes], shards: usize) -> ShardPoint {
+    let config = GarnetConfig {
+        driver: DriverKind::Threaded,
+        ingest_shards: shards,
+        dispatch_shards: 1,
+        ..GarnetConfig::default()
+    };
+    run_facade_point(workload, config, 1, SHARD_SWEEP_BATCH, |_| {}).0
 }
 
 /// The host's usable core count (1 when it cannot be determined).
@@ -226,8 +199,11 @@ pub fn shard_sweep_json(frames: u32, sensors: u32, shard_counts: &[usize]) -> St
     let workload = shard_workload(frames, sensors);
     let points: Vec<ShardPoint> =
         shard_counts.iter().map(|&s| run_shard_point(&workload, s)).collect();
-    sweep_json("e03_pipeline_shards", "ThreadedIngest", host_cores(), &points)
+    sweep_json("e03_pipeline_shards", SHARD_SWEEP_DRIVER, host_cores(), &points)
 }
+
+/// The `driver` string of `BENCH_pipeline_shards.json`.
+pub const SHARD_SWEEP_DRIVER: &str = "Garnet(Threaded)";
 
 #[cfg(test)]
 mod tests {
@@ -248,6 +224,7 @@ mod tests {
     #[test]
     fn shard_sweep_is_lossless_and_serialisable() {
         let json = shard_sweep_json(2_000, 16, &[1, 2]);
+        assert!(json.contains("\"driver\": \"Garnet(Threaded)\""));
         assert!(json.contains("\"host_cores\""));
         assert!(json.contains("\"shards\": 1"));
         assert!(json.contains("\"shards\": 2"));

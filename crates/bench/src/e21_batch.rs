@@ -1,104 +1,104 @@
 //! E21 — admission batch-size sweep on the zero-copy frame path.
 //!
-//! E3 sweeps worker *shards*; this sweep holds the topology at one
-//! shard and varies the **admission batch size** instead: how many
-//! frames enter per call — `push_frames` on the bare ingest stage,
-//! `Garnet::on_frames` on the facade's threaded engine. Each batch
-//! costs one worker round-trip however many frames it carries, so
-//! per-frame overhead (enqueue, wake-up, merge) amortises across the
-//! batch. The shape to reproduce: per-frame cost falls monotonically
-//! from batch size 1 to 64, flattening once the fixed cost is fully
-//! amortised.
+//! E3 sweeps ingest *shards*; this sweep holds the topology at one
+//! shard per stage and varies the **admission batch size** instead: how
+//! many frames enter per `Garnet::on_frames` call on the facade's
+//! threaded engine. Each batch costs one worker round-trip however many
+//! frames it carries, so per-frame overhead (enqueue, wake-up, merge)
+//! amortises across the batch. The shape to reproduce: per-frame cost
+//! falls monotonically from batch size 1 to 64, flattening once the
+//! fixed cost is fully amortised.
 //!
-//! Emits `BENCH_batch.json` via the shared sweep schema
-//! ([`crate::e03_pipeline::sweep_json`], `host_cores` recorded). One
-//! schema caveat: the `shards` field of each point carries the **batch
-//! size** — the sweep variable — not a worker count; the topology is
-//! fixed at one shard per stage.
+//! Emits `BENCH_batch.json`: one row per batch size, keyed by `batch`,
+//! with `host_cores` recorded.
 
 use garnet_core::middleware::GarnetConfig;
 use garnet_core::DriverKind;
 
-use crate::e03_pipeline::{host_cores, run_shard_point_batched, shard_workload, ShardPoint};
+use crate::e03_pipeline::{host_cores, shard_workload, ShardPoint};
 use crate::e20_runtime_mode::run_facade_point;
 use crate::table::{f2, n, Table};
 
-/// Consumers of every stream in the graph sweep (the dispatch fan-out).
+/// Consumers of every stream (the dispatch fan-out).
 const GRAPH_SUBSCRIBERS: u32 = 8;
 
 /// The batch sizes the sweep visits.
 pub const BATCH_SIZES: [usize; 4] = [1, 8, 64, 256];
 
+/// The `driver` string of `BENCH_batch.json`.
+pub const BATCH_SWEEP_DRIVER: &str = "Garnet(Threaded,1x1)";
+
 /// One batch-size sample: the sweep variable plus the wall-clock point.
-/// `point.shards` is repurposed to carry `batch` when serialised.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchPoint {
-    /// Frames per `push_frames` call.
+    /// Frames per `on_frames` call.
     pub batch: usize,
     /// The wall-clock sample at that batch size.
     pub point: ShardPoint,
 }
 
-/// Sweeps the ingest stage (E3's single-shard `ThreadedIngest`) over
-/// the admission batch sizes.
-pub fn ingest_batch_sweep(frames: u32, sensors: u32, batches: &[usize]) -> Vec<BatchPoint> {
+/// Pushes `workload` through the facade on the threaded engine (1×1
+/// shards, [`GRAPH_SUBSCRIBERS`] consumers of every stream) in
+/// `on_frames` calls of `batch` frames.
+pub fn run_batch_point(workload: &[garnet_wire::FrameBytes], batch: usize) -> ShardPoint {
+    let config = GarnetConfig { driver: DriverKind::Threaded, ..GarnetConfig::default() };
+    run_facade_point(workload, config, GRAPH_SUBSCRIBERS, batch, |_| {}).0
+}
+
+/// Runs [`run_batch_point`] at each batch size over `frames` frames
+/// round-robined across `sensors` sensors.
+pub fn batch_sweep(frames: u32, sensors: u32, batches: &[usize]) -> Vec<BatchPoint> {
     let workload = shard_workload(frames, sensors);
     batches
         .iter()
-        .map(|&batch| {
-            let mut point = run_shard_point_batched(&workload, 1, batch);
-            point.shards = batch;
-            BatchPoint { batch, point }
-        })
+        .map(|&batch| BatchPoint { batch, point: run_batch_point(&workload, batch) })
         .collect()
 }
 
-/// Sweeps the full graph (the facade on the threaded engine, 1×1
-/// shards) over the admission batch sizes.
-pub fn graph_batch_sweep(frames: u32, sensors: u32, batches: &[usize]) -> Vec<BatchPoint> {
-    let workload = shard_workload(frames, sensors);
-    let config = || GarnetConfig { driver: DriverKind::Threaded, ..GarnetConfig::default() };
-    batches
+/// Renders a batch sweep as the `BENCH_batch.json` document: bench id,
+/// driver, host core count, and one row per batch size with its
+/// speedup over the first (batch 1) point.
+pub fn batch_sweep_json(bench: &str, points: &[BatchPoint]) -> String {
+    let base = points.first().map_or(1.0, |p| p.point.throughput_fps);
+    let rows: Vec<String> = points
         .iter()
-        .map(|&batch| {
-            let (mut point, _) =
-                run_facade_point(&workload, config(), GRAPH_SUBSCRIBERS, batch, |_| {});
-            point.shards = batch;
-            BatchPoint { batch, point }
+        .map(|p| {
+            format!(
+                "    {{\"batch\": {}, \"frames\": {}, \"elapsed_us\": {}, \
+                 \"throughput_fps\": {:.1}, \"speedup_vs_1\": {:.3}}}",
+                p.batch,
+                p.point.frames,
+                p.point.elapsed_us,
+                p.point.throughput_fps,
+                p.point.throughput_fps / base
+            )
         })
-        .collect()
-}
-
-/// Renders a batch sweep as the shared sweep JSON document (the
-/// `shards` field of each point carries the batch size).
-pub fn batch_sweep_json(bench: &str, driver: &str, points: &[BatchPoint]) -> String {
-    let shard_points: Vec<ShardPoint> = points.iter().map(|p| p.point).collect();
-    crate::e03_pipeline::sweep_json(bench, driver, host_cores(), &shard_points)
+        .collect();
+    format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"driver\": \"{BATCH_SWEEP_DRIVER}\",\n  \
+         \"host_cores\": {},\n  \"points\": [\n{}\n  ]\n}}\n",
+        host_cores(),
+        rows.join(",\n")
+    )
 }
 
 /// Runs the sweep for the experiments binary.
 pub fn run() -> (Vec<BatchPoint>, Table) {
     let mut table = Table::new(
-        "E21 — admission batch-size sweep: single-shard throughput vs frames per push",
-        &["stage", "batch", "frames", "elapsed µs", "frames/s", "speedup vs batch 1"],
+        "E21 — admission batch-size sweep: single-shard facade throughput vs frames per call",
+        &["batch", "frames", "elapsed µs", "frames/s", "speedup vs batch 1"],
     );
-    let ingest = ingest_batch_sweep(200_000, 64, &BATCH_SIZES);
-    let graph = graph_batch_sweep(20_000, 64, &BATCH_SIZES);
-    for (stage, points) in [("ingest", &ingest), ("graph", &graph)] {
-        let base = points[0].point.throughput_fps;
-        for p in points {
-            table.row(&[
-                stage.into(),
-                n(p.batch as u64),
-                n(p.point.frames),
-                n(p.point.elapsed_us),
-                f2(p.point.throughput_fps),
-                f2(p.point.throughput_fps / base),
-            ]);
-        }
+    let points = batch_sweep(20_000, 64, &BATCH_SIZES);
+    let base = points[0].point.throughput_fps;
+    for p in &points {
+        table.row(&[
+            n(p.batch as u64),
+            n(p.point.frames),
+            n(p.point.elapsed_us),
+            f2(p.point.throughput_fps),
+            f2(p.point.throughput_fps / base),
+        ]);
     }
-    let mut points = ingest;
-    points.extend(graph);
     (points, table)
 }
 
@@ -108,24 +108,18 @@ mod tests {
 
     #[test]
     fn batch_sweep_is_lossless_and_serialisable() {
-        let points = ingest_batch_sweep(2_000, 16, &[1, 8]);
+        let points = batch_sweep(1_000, 16, &[1, 64]);
         assert_eq!(points.len(), 2);
         for p in &points {
-            assert_eq!(p.point.frames, 2_000, "batch {} lost frames", p.batch);
-        }
-        let json = batch_sweep_json("e21_batch_ingest", "ThreadedIngest", &points);
-        assert!(json.contains("\"bench\": \"e21_batch_ingest\""));
-        assert!(json.contains("\"host_cores\""));
-        // `shards` carries the batch size in this sweep.
-        assert!(json.contains("\"shards\": 1"));
-        assert!(json.contains("\"shards\": 8"));
-    }
-
-    #[test]
-    fn graph_sweep_survives_batched_admission() {
-        let points = graph_batch_sweep(1_000, 16, &[1, 64]);
-        for p in &points {
             assert_eq!(p.point.frames, 1_000, "batch {} lost frames", p.batch);
+            assert_eq!(p.point.shards, 1, "the topology is one shard per stage");
         }
+        let json = batch_sweep_json("e21_batch", &points);
+        assert!(json.contains("\"bench\": \"e21_batch\""));
+        assert!(json.contains("\"driver\": \"Garnet(Threaded,1x1)\""));
+        assert!(json.contains("\"host_cores\""));
+        assert!(json.contains("{\"batch\": 1,"));
+        assert!(json.contains("{\"batch\": 64,"));
+        assert!(!json.contains("\"shards\""), "batch sizes are not shard counts");
     }
 }

@@ -16,16 +16,15 @@
 //! All services are sans-io state machines implementing the
 //! [`service::GarnetService`] trait; the [`router::Router`] threads
 //! typed events between them over a FIFO queue, and
-//! [`middleware::Garnet`] is a thin facade that drives a pluggable
-//! execution engine (the [`driver::RouterDriver`] axis, selected by
-//! [`driver::DriverKind`]: the FIFO router with every stage inline, or
-//! the same router with its ingest shards on worker threads) and hosts
-//! the consumers. The filtering hot path is partitioned by sensor id
-//! into [`router::ShardedIngest`] shards, and the dispatch stage into
-//! [`router::ShardedDispatch`] shards by the same hash, each with a
-//! deterministic merge — so any shard count, on either engine, produces
-//! bit-identical outputs. [`router::ThreadedIngest`] runs the ingest
-//! shards on real threads without the router, pipelined.
+//! [`middleware::Garnet`] is a thin facade that owns the router, hosts
+//! the consumers and runs admission control in front of it (the
+//! [`qos::QosScheduler`]). [`driver::DriverKind`] picks the engine: the
+//! FIFO router with every stage inline, or the same router with its
+//! ingest shards on worker threads. The filtering hot path is
+//! partitioned by sensor id into [`router::ShardedIngest`] shards, and
+//! the dispatch stage into [`router::ShardedDispatch`] shards by the
+//! same hash, each with a deterministic merge — so any shard count, on
+//! either engine, produces bit-identical outputs.
 //! [`pipeline::PipelineSim`] closes the loop with the simulated radio
 //! field for experiments.
 //!
@@ -73,7 +72,7 @@ mod trace;
 
 pub use archive::{store_slot, ArchiveBackend, ArchiveConfig, ArchiveLedger, StoreSlot};
 pub use consumer::{Consumer, ConsumerCtx};
-pub use driver::{DispatchStats, DriverKind, FifoDriver, FilterStats, RouterDriver};
+pub use driver::{DispatchStats, DriverKind, FilterStats};
 pub use filtering::{Delivery, FilterConfig, FilteringService, Observation};
 pub use middleware::{Garnet, GarnetConfig, OverloadStats, StepOutput};
 pub use pipeline::{PipelineConfig, PipelineSim};
@@ -82,8 +81,8 @@ pub use qos::{
     QosScheduler, Release,
 };
 pub use router::{
-    ControlGraph, FrameAdmission, IngestBatch, IngestReport, OverloadConfig, OverloadPolicy,
-    OverloadTotals, Router, Services, ShardedDispatch, ShardedIngest, ThreadedIngest,
+    ControlGraph, OverloadConfig, OverloadPolicy, OverloadTotals, Router, Services,
+    ShardedDispatch, ShardedIngest,
 };
 pub use service::{GarnetService, ServiceEvent, ServiceOutput};
 pub use telemetry::{

@@ -1,15 +1,15 @@
 //! The Garnet middleware facade: Figure 1 assembled into one deployable
 //! unit.
 //!
-//! [`Garnet`] speaks to the service graph only through the
-//! [`RouterDriver`] surface: every external input becomes a
-//! [`ServiceEvent`] handed to the driver, and the facade pumps the
-//! driver to quiescence, applying the outputs that escape the service
-//! graph (consumer callbacks, control plans, denials, expiries).
-//! [`GarnetConfig::driver`] picks the engine — the FIFO
-//! [`crate::router::Router`] with every stage inline (the simulation
-//! reference), or the same router with its ingest shards on worker
-//! threads — and every public entry point behaves identically on both:
+//! [`Garnet`] owns one FIFO [`Router`] over the service graph: every
+//! external input becomes a [`ServiceEvent`] queued on the router —
+//! through the [`QosScheduler`] when an overload config bounds
+//! admission — and the facade pumps the router to quiescence, applying
+//! the outputs that escape the service graph (consumer callbacks,
+//! control plans, denials, expiries). [`GarnetConfig::driver`] picks
+//! where the ingest shards run — inline (the simulation reference) or
+//! on worker threads — and every public entry point behaves
+//! identically on both:
 //!
 //! ```text
 //!   on_frame ─→ ShardedIngest ─→ Dispatching ─→ consumers ─→ actions
@@ -55,18 +55,18 @@ use crate::actuation::{ActuationConfig, ActuationService};
 use crate::archive::{ack_record, frame_record, tick_record, ArchiveConfig, ArchiveService};
 use crate::consumer::{Consumer, ConsumerAction, ConsumerCtx};
 use crate::coordinator::{CoordinationMode, PolicyAction, SuperCoordinator};
-use crate::driver::{DispatchStats, DriverKind, FifoDriver, FilterStats, RouterDriver};
+use crate::driver::{DispatchStats, DriverKind, FilterStats};
 use crate::filtering::{Delivery, FilterConfig};
 use crate::location::{LocationConfig, LocationEstimate, LocationService};
 use crate::orphanage::{Orphanage, OrphanageConfig};
 use crate::qos::{
-    ClassLedger, ClassLedgers, DeliverySchedule, FrameOffer, PriorityClass, QosConfig, QosMode,
+    ClassLedger, ClassLedgers, DeliverySchedule, FrameOffer, PriorityClass, QosConfig,
     QosScheduler, Release,
 };
 use crate::replicator::{MessageReplicator, ReplicationPlan};
 use crate::resource::{DenyReason, MediationPolicy, ResourceManager, SensorProfile};
 use crate::router::{
-    ControlGraph, OverloadConfig, OverloadTotals, Services, ShardedDispatch, ShardedIngest,
+    ControlGraph, OverloadConfig, OverloadTotals, Router, Services, ShardedDispatch, ShardedIngest,
 };
 use crate::service::{ActuationOrigin, BatchedFrame, ServiceEvent, ServiceOutput};
 use crate::stream::ShardedStreamRegistry;
@@ -130,17 +130,15 @@ pub struct GarnetConfig {
     pub transmitters: Vec<Transmitter>,
     /// Demand-driven quiescence of unclaimed streams; `None` disables.
     pub quiesce: Option<QuiesceConfig>,
-    /// Bounded-queue admission control for the frame intake; `None`
-    /// keeps the legacy unbounded queue (admission never sheds).
+    /// Bounded admission control for the frame intake, enforced by a
+    /// facade-boundary [`QosScheduler`]; `None` leaves the intake
+    /// unbounded (admission never sheds).
     pub overload: Option<OverloadConfig>,
-    /// Priority-classed QoS scheduling (see [`crate::qos`]). With the
-    /// default [`QosMode::Scheduled`] and an [`GarnetConfig::overload`]
-    /// config present, admission control moves from the engine's queue
-    /// to a facade-boundary [`QosScheduler`]: same policy, same ledger,
-    /// same survivors — but engine-independent, so overloaded runs are
-    /// bit-identical across `{Fifo, Threaded}` × shard × batch layouts.
-    /// [`QosMode::Legacy`] (or `GARNET_TEST_QOS=legacy`) preserves the
-    /// pre-QoS in-engine path bit for bit.
+    /// Priority-classed QoS scheduling (see [`crate::qos`]): the
+    /// adaptive band of the [`GarnetConfig::overload`] bound and the
+    /// per-consumer delivery queues. Admission runs above the engine,
+    /// so overloaded runs are bit-identical across `{Fifo, Threaded}` ×
+    /// shard × batch layouts.
     pub qos: QosConfig,
     /// Flight-recorder ring capacity in records. Only meaningful when
     /// the `trace` cargo feature is compiled in; without it the tracer
@@ -302,8 +300,8 @@ pub struct StepOutput {
     /// Frame-admission accounting for this call (zero when the queue is
     /// unbounded or the call took no frames).
     pub overload: OverloadStats,
-    /// Worker failures surfaced by a threaded driver during this step
-    /// (always empty under the simulation driver, which has no
+    /// Worker failures surfaced by the threaded engine during this step
+    /// (always empty under the FIFO engine, which has no
     /// threads to lose).
     pub shard_failures: Vec<ShardFailure>,
 }
@@ -374,8 +372,11 @@ impl fmt::Debug for ConsumerEntry {
 #[derive(Debug)]
 pub struct Garnet {
     max_derived_depth: u32,
-    driver: Box<dyn RouterDriver>,
+    router: Router,
     driver_kind: DriverKind,
+    /// Pump with [`Router::step_batch`] (see
+    /// [`GarnetConfig::batch_ingest`]).
+    batch_ingest: bool,
     auth: AuthService,
     registry: ServiceRegistry,
     consumers: HashMap<SubscriberId, ConsumerEntry>,
@@ -397,13 +398,9 @@ pub struct Garnet {
     /// reports the movement since the last one rather than a per-call
     /// snapshot that would miss restarts landing between calls.
     reported_restarts: u64,
-    /// The facade-boundary QoS scheduler (`Some` when
-    /// [`QosMode::Scheduled`] and an overload config are both present;
-    /// the engines then run unbounded and this layer owns admission).
+    /// The facade-boundary QoS scheduler (`Some` when an overload
+    /// config bounds admission).
     qos: Option<QosScheduler>,
-    /// Which mode [`GarnetConfig::qos`] selected (drain limits are
-    /// refused in legacy mode so the pre-QoS path stays untouched).
-    qos_mode: QosMode,
     /// Per-consumer delivery scheduling — inert until
     /// [`Garnet::set_consumer_drain_limit`] declares a consumer slow.
     delivery: DeliverySchedule,
@@ -445,15 +442,11 @@ impl Garnet {
             replicator: MessageReplicator::new(config.transmitters),
             coordinator: SuperCoordinator::new(config.coordination),
         };
-        // With the QoS scheduler active, admission control moves to the
-        // facade boundary: the engines run unbounded (they only ever see
-        // the frames the scheduler released), which is what makes
-        // overloaded runs engine-independent.
-        let qos = match (config.qos.mode, config.overload) {
-            (QosMode::Scheduled, Some(overload)) => Some(QosScheduler::new(overload, &config.qos)),
-            _ => None,
-        };
-        let engine_overload = if qos.is_some() { None } else { config.overload };
+        // Admission control runs at the facade boundary: the router's
+        // queue is unbounded (it only ever sees the frames the scheduler
+        // released), which is what makes overloaded runs
+        // engine-independent.
+        let qos = config.overload.map(|overload| QosScheduler::new(overload, &config.qos));
         // The engines differ only in where the filtering shards run.
         let ingest = match config.driver {
             DriverKind::Fifo => ShardedIngest::new(config.filter, config.ingest_shards),
@@ -464,18 +457,18 @@ impl Garnet {
             dispatch: ShardedDispatch::with_cache(config.dispatch_shards, config.dispatch_cache),
             control,
         };
-        let mut driver: Box<dyn RouterDriver> =
-            Box::new(FifoDriver::new(services, engine_overload, config.batch_ingest));
-        driver
+        let mut router = Router::new(services);
+        router
             .configure_trace(garnet_simkit::trace::TraceConfig { capacity: config.trace_capacity });
-        driver.set_telemetry_recording(config.telemetry.spans);
+        router.set_telemetry_recording(config.telemetry.spans);
         let archive = config
             .archive
             .map(|cfg| ArchiveService::new(cfg, config.driver, config.trace_capacity));
         Garnet {
             max_derived_depth: config.max_derived_depth,
-            driver,
+            router,
             driver_kind: config.driver,
+            batch_ingest: config.batch_ingest,
             auth: AuthService::new(config.auth_key),
             registry,
             consumers: HashMap::new(),
@@ -490,7 +483,6 @@ impl Garnet {
             archive,
             reported_restarts: 0,
             qos,
-            qos_mode: config.qos.mode,
             delivery: DeliverySchedule::new(config.qos.consumer_queue_capacity),
             telemetry: TelemetryService::new(config.telemetry),
             shard_failure_total: 0,
@@ -543,7 +535,7 @@ impl Garnet {
         let virtual_sensor = SensorId::new(self.next_virtual_sensor)
             .map_err(|_| GarnetError::VirtualSensorSpaceExhausted)?;
         self.next_virtual_sensor -= 1;
-        let id = self.driver.register_subscriber();
+        let id = self.router.services_mut().dispatch.register_subscriber();
         self.registry.advertise(ServiceDescriptor {
             name: format!("consumer/{}", consumer.name()),
             kind: ServiceKind::Consumer,
@@ -568,8 +560,8 @@ impl Garnet {
     /// resource demands, withdraws its advertisement.
     pub fn deregister_consumer(&mut self, id: SubscriberId) -> Result<(), GarnetError> {
         let entry = self.consumers.remove(&id).ok_or(GarnetError::UnknownConsumer(id))?;
-        self.driver.unsubscribe_all(id);
-        self.driver.control_mut().resource.release_consumer(id);
+        self.router.services_mut().dispatch.unsubscribe_all(id);
+        self.router.services_mut().control.resource.release_consumer(id);
         if let Some(c) = &entry.consumer {
             self.registry.withdraw(&format!("consumer/{}", c.name()));
         }
@@ -613,15 +605,16 @@ impl Garnet {
         if !self.consumers.contains_key(&id) {
             return Err(GarnetError::UnknownConsumer(id));
         }
-        self.driver.subscribe(id, filter);
+        self.router.services_mut().dispatch.subscribe(id, filter);
 
         // Claim matching orphanage backlog. Claims are synchronous
         // request/response, not dataflow, so they stay direct calls.
         let claimable: Vec<StreamId> = match filter {
             TopicFilter::Stream(s) => vec![s],
             TopicFilter::Sensor(sensor) => self
-                .driver
-                .control()
+                .router
+                .services()
+                .control
                 .orphanage
                 .unclaimed_streams()
                 .into_iter()
@@ -634,8 +627,8 @@ impl Garnet {
         let mut backlog: Vec<DataMessage> = Vec::new();
         let mut out = StepOutput::default();
         for s in claimable {
-            backlog.extend(self.driver.control_mut().orphanage.claim(s));
-            self.driver.set_claimed(s, true);
+            backlog.extend(self.router.services_mut().control.orphanage.claim(s));
+            self.router.services_mut().dispatch.streams.set_claimed(s, true);
             self.restore_if_quiesced(s, now, &mut out);
         }
         let replayed = backlog.len();
@@ -649,10 +642,10 @@ impl Garnet {
 
     /// Removes one subscription.
     pub fn unsubscribe(&mut self, id: SubscriberId, filter: TopicFilter) {
-        self.driver.unsubscribe(id, filter);
+        self.router.services_mut().dispatch.unsubscribe(id, filter);
         if let TopicFilter::Stream(s) = filter {
-            if !self.driver.would_deliver(s) {
-                self.driver.set_claimed(s, false);
+            if !self.router.services().dispatch.would_deliver(s) {
+                self.router.services_mut().dispatch.streams.set_claimed(s, false);
             }
         }
     }
@@ -660,10 +653,9 @@ impl Garnet {
     /// Feeds one raw frame from a receiver into the pipeline.
     ///
     /// The frame passes admission control first, but since the facade
-    /// pumps to quiescence after every call, a frame-at-a-time driver
-    /// never fills the bounded queue — bursts only become visible to
-    /// the [`crate::router::OverloadPolicy`] through
-    /// [`Garnet::on_frames`].
+    /// pumps to quiescence after every call, a frame at a time never
+    /// fills the bounded Data tier — bursts only become visible to the
+    /// [`crate::router::OverloadPolicy`] through [`Garnet::on_frames`].
     pub fn on_frame(
         &mut self,
         receiver: ReceiverId,
@@ -676,7 +668,7 @@ impl Garnet {
 
     /// Feeds a burst of raw frames through admission control before a
     /// single pump — the preferred ingest entry. Batching makes the
-    /// bounded queue and its overload policy observable, and the whole
+    /// bounded Data tier and its overload policy observable, and the whole
     /// burst is admitted, handed to the ingest stage and filtered as
     /// one unit (one filtering pass per run of queued frames: one worker
     /// job per shard on the threaded engine).
@@ -686,7 +678,7 @@ impl Garnet {
     /// without copying.
     ///
     /// The returned [`StepOutput::overload`] is this call's ledger:
-    /// with the queue drained, `offered == shed + delivered`, counting
+    /// with the engine drained, `offered == shed + delivered`, counting
     /// every individual frame of the batch.
     pub fn on_frames<F: Into<FrameBytes>>(
         &mut self,
@@ -717,8 +709,7 @@ impl Garnet {
         }
         if self.qos.is_some() {
             // The scheduler owns admission: every frame offers into the
-            // bounded Data tier (same policy, same ledger as the legacy
-            // in-engine queue), and the survivors release in one batch.
+            // bounded Data tier, and the survivors release in one batch.
             for f in batch {
                 let mut pending = f;
                 while let FrameOffer::Blocked(frame) =
@@ -726,8 +717,7 @@ impl Garnet {
                 {
                     // Tier full under Block: release the staged tier
                     // into the engine, pump it dry to make room, then
-                    // re-offer — the facade-level equivalent of the
-                    // FIFO router's block-drain-retry loop.
+                    // re-offer.
                     self.release_qos(now);
                     self.pump(now, &mut out);
                     pending = frame;
@@ -735,12 +725,7 @@ impl Garnet {
             }
             self.release_qos(now);
         } else {
-            // A blocked admission inside the driver drains events to
-            // make room; whatever escaped the queue in the process comes
-            // back here and is applied in order.
-            for o in self.driver.admit_frames(batch, now) {
-                self.apply(o, now, &mut out);
-            }
+            self.router.admit_frames(batch);
         }
         self.pump(now, &mut out);
         self.note_overload_delta(base, &mut out);
@@ -761,7 +746,7 @@ impl Garnet {
             s.offer_event(ev, now);
             self.release_qos(now);
         } else {
-            self.driver.push_event(ev, now);
+            self.router.enqueue(ev);
         }
     }
 
@@ -774,23 +759,18 @@ impl Garnet {
         };
         for r in releases {
             match r {
-                Release::Event(ev) => self.driver.push_event(ev, now),
-                Release::Frames(frames) => {
-                    // The engine is unbounded while the scheduler governs
-                    // admission, so nothing can escape here.
-                    let escaped = self.driver.admit_frames(frames, now);
-                    debug_assert!(escaped.is_empty(), "unbounded engine blocked an admission");
-                }
+                Release::Event(ev) => self.router.enqueue(ev),
+                Release::Frames(frames) => self.router.admit_frames(frames),
             }
         }
     }
 
-    /// Monotonic admission totals from whichever layer governs
-    /// admission (the QoS scheduler when active, else the engine).
+    /// Monotonic admission totals from the QoS scheduler when it
+    /// governs admission, else from the router's unbounded intake.
     fn admission_totals(&self) -> OverloadTotals {
         match &self.qos {
             Some(s) => s.totals(),
-            None => self.driver.overload_totals(),
+            None => self.router.overload_totals(),
         }
     }
 
@@ -798,7 +778,7 @@ impl Garnet {
     fn admission_peak_depth(&self) -> u64 {
         match &self.qos {
             Some(s) => s.peak_depth(),
-            None => self.driver.peak_queue_depth(),
+            None => self.router.peak_queue_depth(),
         }
     }
 
@@ -822,7 +802,7 @@ impl Garnet {
     /// every reporting entry point folds the movement in, and the
     /// watermark guarantees each restart is counted exactly once.
     fn note_restart_delta(&mut self, out: &mut StepOutput) {
-        let count = self.driver.shard_restart_count();
+        let count = self.router.services().ingest.supervised_restart_count();
         out.overload.shard_restarts += count - self.reported_restarts;
         self.reported_restarts = count;
     }
@@ -864,8 +844,10 @@ impl Garnet {
     fn sweep_quiesce(&mut self, now: SimTime, out: &mut StepOutput) {
         let Some(cfg) = self.quiesce else { return };
         let due: Vec<StreamId> = self
-            .driver
-            .streams()
+            .router
+            .services()
+            .dispatch
+            .streams
             .discover_unclaimed()
             .into_iter()
             .filter(|i| {
@@ -902,7 +884,7 @@ impl Garnet {
         }
         // Withdraw the system's slow-rate demand so consumer demands
         // mediate freshly, then restore the working rate.
-        self.driver.control_mut().resource.release_consumer(SYSTEM_SUBSCRIBER);
+        self.router.services_mut().control.resource.release_consumer(SYSTEM_SUBSCRIBER);
         self.route_event(
             ServiceEvent::ActuationRequested {
                 origin: ActuationOrigin::Restore,
@@ -922,15 +904,17 @@ impl Garnet {
     /// The earliest instant at which [`Garnet::on_tick`] has work.
     pub fn next_deadline(&self) -> Option<SimTime> {
         let quiesce_due = self.quiesce.and_then(|cfg| {
-            self.driver
-                .streams()
+            self.router
+                .services()
+                .dispatch
+                .streams
                 .discover_unclaimed()
                 .into_iter()
                 .filter(|i| !i.derived && !self.quiesced.contains(&i.stream.to_raw()))
                 .map(|i| i.first_seen.saturating_add(cfg.idle_after))
                 .min()
         });
-        [self.driver.next_deadline(), quiesce_due].into_iter().flatten().min()
+        [self.router.next_deadline(), quiesce_due].into_iter().flatten().min()
     }
 
     /// A consumer (out-of-band, not during `on_data`) requests an
@@ -989,7 +973,7 @@ impl Garnet {
         now: SimTime,
     ) -> Result<Option<LocationEstimate>, GarnetError> {
         self.authorize(token, Capability::ReadLocation, now)?;
-        Ok(self.driver.control().location.estimate(sensor, now))
+        Ok(self.router.services().control.location.estimate(sensor, now))
     }
 
     /// A consumer reports a state change out-of-band. Coordinator policy
@@ -1014,16 +998,16 @@ impl Garnet {
 
     /// Registers a policy action with the Super Coordinator.
     pub fn register_coordinator_policy(&mut self, state: u32, action: PolicyAction) {
-        self.driver.control_mut().coordinator.register_policy(state, action);
+        self.router.services_mut().control.coordinator.register_policy(state, action);
     }
 
     /// Registers a sensor's constraint profile with the Resource
     /// Manager.
     pub fn register_sensor_profile(&mut self, sensor: SensorId, profile: SensorProfile) {
-        self.driver.control_mut().resource.register_profile(sensor, profile);
+        self.router.services_mut().control.resource.register_profile(sensor, profile);
     }
 
-    /// Drains the driver to quiescence, applying every escaped output.
+    /// Drains the router to quiescence, applying every escaped output.
     fn pump(&mut self, now: SimTime, out: &mut StepOutput) {
         self.pump_engine(now, out);
         // One delivery-drain pass per pump: each rate-limited consumer
@@ -1037,19 +1021,19 @@ impl Garnet {
             }
             self.pump_engine(now, out);
         }
-        let mut failures = self.driver.take_shard_failures();
+        let mut failures = self.router.services_mut().ingest.take_failures();
         failures.sort_by_key(|f| (f.shard, f.seq));
         self.shard_failure_total += failures.len() as u64;
         out.shard_failures.extend(failures);
         // The engine is drained: telemetry depth counts restart from
         // zero here, the one quiescence boundary both engines reach.
-        self.driver.note_telemetry_quiescent();
+        self.router.note_telemetry_quiescent();
     }
 
     /// The inner engine-drain loop of [`Garnet::pump`].
     fn pump_engine(&mut self, now: SimTime, out: &mut StepOutput) {
         loop {
-            let outputs = self.driver.pump(now);
+            let outputs = self.router.pump(now, self.batch_ingest);
             if outputs.is_empty() {
                 break;
             }
@@ -1064,7 +1048,7 @@ impl Garnet {
     /// to its [`ActuationOrigin`].
     fn apply(&mut self, output: ServiceOutput, now: SimTime, out: &mut StepOutput) {
         match output {
-            ServiceOutput::Emit(ev) => self.driver.push_event(ev, now),
+            ServiceOutput::Emit(ev) => self.router.enqueue(ev),
             ServiceOutput::Deliver { recipient, delivery, depth } => {
                 // Per-consumer delivery scheduling: a rate-limited
                 // consumer's deliveries stage (and coalesce per
@@ -1211,42 +1195,42 @@ impl Garnet {
 
     /// Ingest-stage (filtering) statistics, aggregated across shards.
     pub fn filtering(&self) -> FilterStats {
-        self.driver.filter_stats()
+        self.router.services().ingest.stats()
     }
 
     /// Dispatch-stage statistics, aggregated across shards.
     pub fn dispatching(&self) -> DispatchStats {
-        self.driver.dispatch_stats()
+        self.router.dispatch_stats()
     }
 
     /// The Orphanage.
     pub fn orphanage(&self) -> &Orphanage {
-        &self.driver.control().orphanage
+        &self.router.services().control.orphanage
     }
 
     /// The Location Service.
     pub fn location(&self) -> &LocationService {
-        &self.driver.control().location
+        &self.router.services().control.location
     }
 
     /// The Resource Manager.
     pub fn resource(&self) -> &ResourceManager {
-        &self.driver.control().resource
+        &self.router.services().control.resource
     }
 
     /// The Actuation Service.
     pub fn actuation(&self) -> &ActuationService {
-        &self.driver.control().actuation
+        &self.router.services().control.actuation
     }
 
     /// The Message Replicator.
     pub fn replicator(&self) -> &MessageReplicator {
-        &self.driver.control().replicator
+        &self.router.services().control.replicator
     }
 
     /// The Super Coordinator.
     pub fn coordinator(&self) -> &SuperCoordinator {
-        &self.driver.control().coordinator
+        &self.router.services().control.coordinator
     }
 
     /// The service registry.
@@ -1256,7 +1240,7 @@ impl Garnet {
 
     /// The stream catalogue (sharded alongside the dispatch stage).
     pub fn streams(&self) -> &ShardedStreamRegistry {
-        self.driver.streams()
+        &self.router.services().dispatch.streams
     }
 
     /// Streams slowed by demand-driven quiescence.
@@ -1279,18 +1263,15 @@ impl Garnet {
         self.denied_actions
     }
 
-    /// p99 of queue-depth-at-admission samples. The unbounded queue
+    /// p99 of queue-depth-at-admission samples. The unbounded intake
     /// records no samples, so this is 0 unless an
     /// [`crate::router::OverloadConfig`] is set.
     pub fn queue_depth_p99(&self) -> u64 {
-        match &self.qos {
-            Some(s) => s.depth_p99(),
-            None => self.driver.queue_depth_p99(),
-        }
+        self.qos.as_ref().map_or(0, QosScheduler::depth_p99)
     }
 
-    /// Whether the QoS scheduler governs admission (Scheduled mode with
-    /// an overload config present).
+    /// Whether the QoS scheduler governs admission (an overload config
+    /// is present).
     pub fn qos_active(&self) -> bool {
         self.qos.is_some()
     }
@@ -1316,13 +1297,8 @@ impl Garnet {
     /// facade call; the rest stage in its own queue, where same-stream
     /// duplicates coalesce (newest sequence wins) without touching any
     /// other consumer's delivery sequence. `None` removes the limit (the
-    /// backlog flushes on the next call). Refused — a no-op — in
-    /// [`QosMode::Legacy`], which preserves the pre-QoS path bit for
-    /// bit.
+    /// backlog flushes on the next call).
     pub fn set_consumer_drain_limit(&mut self, id: SubscriberId, limit: Option<usize>) {
-        if self.qos_mode == QosMode::Legacy {
-            return;
-        }
         self.delivery.set_limit(id, limit);
     }
 
@@ -1342,7 +1318,7 @@ impl Garnet {
     /// [`garnet_net::EdgeClass`] (all zeros under the FIFO engine,
     /// which has no channel boundary).
     pub fn edge_class_submits(&self) -> [u64; 3] {
-        self.driver.edge_class_submits()
+        self.router.services().ingest.class_submits()
     }
 
     /// Builds a metrics snapshot of every service — the operator's
@@ -1356,9 +1332,9 @@ impl Garnet {
     /// [`garnet_simkit::metrics::stage_key`]: a lowercase stage
     /// (service or subsystem) and a snake_case metric within it.
     pub fn metrics(&self) -> garnet_simkit::MetricsRegistry {
-        let fs = self.driver.filter_stats();
-        let ds = self.driver.dispatch_stats();
-        let c = self.driver.control();
+        let fs = self.router.services().ingest.stats();
+        let ds = self.router.dispatch_stats();
+        let c = &self.router.services().control;
         let mut m = garnet_simkit::MetricsRegistry::new();
         let filtering: &[(&str, u64)] = &[
             ("delivered", fs.delivered_count()),
@@ -1416,7 +1392,8 @@ impl Garnet {
             ("denied_actions", self.denied_actions),
             ("depth_drops", self.depth_drops),
         ];
-        let streams: &[(&str, u64)] = &[("catalogued", self.driver.streams().len() as u64)];
+        let streams: &[(&str, u64)] =
+            &[("catalogued", self.router.services().dispatch.streams.len() as u64)];
         let t = self.admission_totals();
         let overload: &[(&str, u64)] = &[
             ("offered", t.offered),
@@ -1424,7 +1401,7 @@ impl Garnet {
             ("coalesced", t.coalesced),
             ("delivered", t.delivered),
             ("peak_queue_depth", self.admission_peak_depth()),
-            ("shard_restarts", self.driver.shard_restart_count()),
+            ("shard_restarts", self.router.services().ingest.supervised_restart_count()),
             ("shard_failures", self.shard_failure_total),
         ];
         for (stage, metrics) in [
@@ -1461,9 +1438,7 @@ impl Garnet {
         }
         // The QoS plane's per-class view: ledgers, waits, and the
         // delivery-plane counters. Emitted only when the scheduler is
-        // active, so legacy-mode reports are byte-identical to pre-QoS
-        // ones (determinism comparisons strip `qos.*` rows, the same
-        // treatment the match-cache rows get).
+        // active: an unbounded facade has no scheduler to report on.
         if let Some(s) = &self.qos {
             for class in PriorityClass::ALL {
                 let l = s.ledgers().class(class);
@@ -1496,9 +1471,9 @@ impl Garnet {
         // shard-count invariant; per-shard gauges appear in telemetry
         // snapshots, whose consumers strip them before cross-layout
         // comparison.
-        self.driver.pipeline_spans().fold_into(&mut m);
+        self.router.pipeline_spans().fold_into(&mut m);
         m.gauge(garnet_simkit::metrics::keys::QUEUE_DEPTH)
-            .merge(self.driver.queue_depth_gauges().total());
+            .merge(self.router.queue_depth_gauges().total());
         m
     }
 
@@ -1508,7 +1483,7 @@ impl Garnet {
     /// kept out of the shard-invariant report.
     fn telemetry_registry(&self) -> garnet_simkit::MetricsRegistry {
         let mut m = self.metrics();
-        for (i, g) in self.driver.queue_depth_gauges().per_shard().iter().enumerate() {
+        for (i, g) in self.router.queue_depth_gauges().per_shard().iter().enumerate() {
             m.gauge(&garnet_simkit::metrics::keys::shard_queue_depth(i)).merge(g);
         }
         m
@@ -1656,7 +1631,7 @@ impl Garnet {
     /// statistics. Empty unless the `trace` cargo feature is compiled
     /// in. See `DESIGN.md`'s Observability section for the schema.
     pub fn trace_snapshot(&self) -> TraceSnapshot {
-        self.driver.trace_snapshot()
+        self.router.trace_snapshot()
     }
 
     /// The flight recorder's contents as JSONL (one record per line, in
@@ -1664,7 +1639,7 @@ impl Garnet {
     /// shard ids, across shard layouts. Empty unless the `trace` cargo
     /// feature is compiled in.
     pub fn trace_jsonl(&self) -> String {
-        self.driver.trace_snapshot().to_jsonl()
+        self.router.trace_snapshot().to_jsonl()
     }
 
     /// Streams the flight recorder's buffered records into `w` as JSONL
@@ -1673,7 +1648,7 @@ impl Garnet {
     /// number of records written. Always `Ok(0)` unless the `trace`
     /// cargo feature is compiled in.
     pub fn trace_drain_to(&mut self, w: &mut impl std::io::Write) -> std::io::Result<usize> {
-        self.driver.trace_drain_to(w)
+        self.router.trace_drain_to(w)
     }
 
     /// Shuts the middleware down: pumps to quiescence, drains and
@@ -1714,7 +1689,7 @@ impl Garnet {
             Some(archive) => archive.shutdown(now),
             None => true,
         };
-        let released = self.driver.shutdown(now);
+        let released = self.router.shutdown(now);
         for o in released {
             self.apply(o, now, &mut out);
         }

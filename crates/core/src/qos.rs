@@ -1,36 +1,32 @@
 //! Per-consumer QoS scheduling: priority classes, tiered staging, and
-//! subscription-keyed delivery coalescing.
+//! subscription-keyed delivery coalescing — the facade's one admission
+//! path.
 //!
-//! The legacy overload path (`OverloadConfig` on the router) is a single
-//! global bounded queue: one slow consumer fills it and every subscriber
-//! pays. This module generalises it into three pieces the facade
+//! The router's queue is unbounded; everything that bounds, sheds or
+//! coalesces work under overload lives here, in three pieces the facade
 //! composes in front of either engine:
 //!
 //! * [`PriorityClass`] — every [`ServiceEvent`] belongs to exactly one
-//!   of **Control > Actuation > Data**. The router's ad-hoc "never drop
-//!   control" rule becomes explicit: only Data is ever governed by an
-//!   overload policy; Control and Actuation pass through counted but
-//!   untouched, and [`QosScheduler::release`] drains tiers in strict
-//!   priority order.
-//! * [`QosScheduler`] — tiered staging *in front of* admission. Data
-//!   frames stage into a bounded tier whose shed/coalesce semantics
-//!   mirror the router's byte for byte, so a burst observes the same
-//!   ledger, the same survivors and the same delivery order as the
-//!   legacy in-queue policy — but because the policy now runs entirely
-//!   at the facade boundary, **both engines schedule identically**,
-//!   making overloaded runs bit-identical across `{Fifo, Threaded}` ×
-//!   shard × batch layouts (the legacy threaded edge sheds on
-//!   wall-clock timing and cannot promise that).
+//!   of **Control > Actuation > Data**. "Never drop control" is
+//!   explicit: only Data is ever governed by an overload policy;
+//!   Control and Actuation pass through counted but untouched, and
+//!   [`QosScheduler::release`] drains tiers in strict priority order.
+//! * [`QosScheduler`] — tiered staging *in front of* the engine. Data
+//!   frames stage into a bounded tier under the [`OverloadConfig`]'s
+//!   policy (shed-oldest, per-stream newest-wins coalescing, or
+//!   block-and-drain). Because the policy runs entirely at the facade
+//!   boundary, **both engines schedule identically**, making overloaded
+//!   runs bit-identical across `{Fifo, Threaded}` × shard × batch
+//!   layouts.
 //! * [`DeliverySchedule`] — coalescing keyed per **consumer
 //!   subscription** (`SubscriberId` × stream), not per stream: a slow
 //!   consumer's in-window duplicates collapse in its own queue without
 //!   touching a fast consumer's delivery sequence.
 //!
 //! Capacity is adaptive: at each quiescence the data tier retunes its
-//! bound from the p99 of the depth histogram the `overload.*` metrics
-//! already collect, clamped to the `[floor, ceiling]` band of
-//! [`QosConfig`]. With the band collapsed (the default), the bound is
-//! exactly the legacy `OverloadConfig::capacity`.
+//! bound from the p99 of its depth histogram, clamped to the
+//! `[floor, ceiling]` band of [`QosConfig`]. With the band collapsed
+//! (the default), the bound is exactly `OverloadConfig::capacity`.
 //!
 //! Every class keeps the exact ledger `offered == shed + delivered`
 //! (Control and Actuation trivially so — their shed is always zero),
@@ -108,43 +104,23 @@ impl PriorityClass {
     }
 }
 
-/// Whether the facade schedules through the QoS layer or preserves the
-/// legacy in-router overload path bit for bit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// How the facade schedules admission. A single mode remains:
+/// [`QosMode::Scheduled`] is the only admission path, and the enum (with
+/// [`QosConfig::mode`]) stays so configurations that name the mode keep
+/// compiling.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QosMode {
     /// Admission, classing and per-consumer delivery run through
     /// [`QosScheduler`] / [`DeliverySchedule`] at the facade boundary.
+    #[default]
     Scheduled,
-    /// The pre-QoS behaviour: the engine's own [`OverloadConfig`]
-    /// governs admission and deliveries are immediate. No `qos.*`
-    /// metrics are emitted.
-    Legacy,
-}
-
-impl Default for QosMode {
-    /// [`QosMode::Scheduled`], unless the `GARNET_TEST_QOS` environment
-    /// variable says `legacy`/`off`/`0` — the hook CI uses to prove
-    /// default-config suites behave identically without the QoS layer
-    /// (the twin of `GARNET_TEST_DRIVER` / `GARNET_TEST_BATCH`).
-    fn default() -> Self {
-        match std::env::var("GARNET_TEST_QOS") {
-            Ok(v)
-                if v == "0"
-                    || v.eq_ignore_ascii_case("legacy")
-                    || v.eq_ignore_ascii_case("off") =>
-            {
-                QosMode::Legacy
-            }
-            _ => QosMode::Scheduled,
-        }
-    }
 }
 
 /// QoS tuning. The scheduler only activates when the facade also has an
 /// [`OverloadConfig`] — an unbounded intake has nothing to schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QosConfig {
-    /// Scheduled (default) or legacy pass-through.
+    /// The scheduling mode (only [`QosMode::Scheduled`]).
     pub mode: QosMode,
     /// Lower bound for the adaptive data-tier capacity. `None` pins it
     /// to `OverloadConfig::capacity` (adaptation disabled downward).
@@ -220,10 +196,10 @@ struct StagedFrame {
 #[derive(Debug)]
 pub enum Release {
     /// A control- or actuation-class event for
-    /// [`crate::driver::RouterDriver::push_event`].
+    /// [`crate::router::Router::enqueue`].
     Event(ServiceEvent),
     /// The surviving data frames, in admission order, for
-    /// [`crate::driver::RouterDriver::admit_frames`].
+    /// [`crate::router::Router::admit_frames`].
     Frames(Vec<BatchedFrame>),
 }
 
@@ -244,8 +220,7 @@ pub enum FrameOffer {
 }
 
 /// The facade-boundary scheduler: three priority tiers with a bounded,
-/// policy-governed Data tier and strict-priority release. See the
-/// module docs for how this relates to the legacy in-router policy.
+/// policy-governed Data tier and strict-priority release.
 #[derive(Debug)]
 pub struct QosScheduler {
     policy: OverloadPolicy,
@@ -268,14 +243,14 @@ pub struct QosScheduler {
 impl QosScheduler {
     /// Builds a scheduler enforcing `overload`'s policy at the facade
     /// boundary, with the adaptive band from `qos` (both bounds default
-    /// to the legacy capacity, which disables adaptation).
+    /// to `overload.capacity`, which disables adaptation).
     pub fn new(overload: OverloadConfig, qos: &QosConfig) -> Self {
-        let legacy = overload.capacity.max(1);
-        let floor = qos.data_floor.unwrap_or(legacy).max(1);
-        let ceiling = qos.data_ceiling.unwrap_or(legacy).max(floor);
+        let configured = overload.capacity.max(1);
+        let floor = qos.data_floor.unwrap_or(configured).max(1);
+        let ceiling = qos.data_ceiling.unwrap_or(configured).max(floor);
         QosScheduler {
             policy: overload.policy,
-            capacity: legacy.clamp(floor, ceiling),
+            capacity: configured.clamp(floor, ceiling),
             floor,
             ceiling,
             control: VecDeque::new(),
@@ -306,10 +281,8 @@ impl QosScheduler {
     }
 
     /// Offers one radio frame to the bounded Data tier under the
-    /// configured policy. Mirrors `Router::admit_frame` exactly —
-    /// shed-oldest, per-stream newest-wins coalescing with replace in
-    /// place, blocked hand-back — so a burst's ledger and survivors
-    /// match the legacy path bit for bit.
+    /// configured policy: shed-oldest, per-stream newest-wins
+    /// coalescing with replace in place, or blocked hand-back.
     pub fn offer_frame(&mut self, frame: BatchedFrame, now: SimTime) -> FrameOffer {
         if self.data.len() < self.capacity {
             self.note_offered(frame, now);
@@ -326,8 +299,7 @@ impl QosScheduler {
         }
     }
 
-    /// Counts and stages an accepted frame, sampling the tier depth
-    /// (the same cadence the legacy router samples at admission).
+    /// Counts and stages an accepted frame, sampling the tier depth.
     fn note_offered(&mut self, frame: BatchedFrame, now: SimTime) {
         self.ledgers.class_mut(PriorityClass::Data).offered += 1;
         self.data.push_back(StagedFrame { frame, offered_at: now });
@@ -362,7 +334,8 @@ impl QosScheduler {
     /// frame of the arriving frame's stream (wraparound-aware newest
     /// wins, survivor keeps the staged position), falling back to
     /// shedding the oldest staged frame when the stream has nothing
-    /// staged. Same tie-breaks as `Router::coalesce_frame`.
+    /// staged. Undecodable sequences lose to decodable ones; two
+    /// undecodables keep the staged copy.
     fn coalesce(&mut self, frame: BatchedFrame, now: SimTime) -> FrameOffer {
         let stream = peek_stream(&frame.frame);
         let same_stream = stream
@@ -426,7 +399,7 @@ impl QosScheduler {
     /// called at quiescence, the one point both engines reach
     /// deterministically. Target is `2 × p99` clamped to the
     /// configured band; a collapsed band (the default) makes this a
-    /// no-op, preserving the legacy fixed bound.
+    /// no-op, keeping the configured fixed bound.
     pub fn note_quiescent(&mut self) {
         if self.floor == self.ceiling {
             return;
@@ -439,8 +412,8 @@ impl QosScheduler {
         }
     }
 
-    /// The Data tier's ledger, shaped as the legacy overload totals
-    /// (what `overload.*` metrics report when the scheduler governs
+    /// The Data tier's ledger, shaped as overload totals (what the
+    /// `overload.*` metrics report when the scheduler governs
     /// admission).
     pub fn totals(&self) -> OverloadTotals {
         let d = self.ledgers.class(PriorityClass::Data);

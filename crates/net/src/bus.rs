@@ -153,9 +153,9 @@ impl<M> fmt::Debug for ThreadedBus<M> {
     }
 }
 
-/// A shard worker died or refused a job: the loss is recorded here
-/// instead of silently vanishing (or hanging the submission-order
-/// merge on a sequence number that will never arrive).
+/// A shard worker died: the loss is recorded here instead of silently
+/// vanishing (or hanging [`ShardPool::wait`] on a job that will never
+/// come back).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardFailure {
     /// The shard that lost the job.
@@ -173,21 +173,11 @@ impl fmt::Display for ShardFailure {
     }
 }
 
-/// A job handed back by [`ShardPool::try_submit`].
-#[derive(Debug)]
-pub enum RefusedJob<I> {
-    /// The shard's bounded job queue is at capacity (backpressure).
-    Full(I),
-    /// The shard worker has died; restart it before resubmitting.
-    Poisoned(I),
-}
-
 /// Automatic shard-restart policy: a poisoned shard is rebuilt from the
 /// retained factory as long as the shard has been restarted fewer than
 /// `max_restarts` times inside the sliding `window`. Beyond that budget
 /// the shard stays poisoned (a crash-looping stage should surface, not
-/// flap), and restart returns to the caller via
-/// [`ShardPool::restart_shard`].
+/// flap): every job later submitted to it is recorded lost.
 ///
 /// Restarts are separated by **exponential backoff**: the n-th restart
 /// inside the window waits `base_backoff * 2^n` (capped at
@@ -255,12 +245,12 @@ pub struct RestartEvent {
     pub delay: std::time::Duration,
 }
 
-/// The scheduling class a submission carries through a pool or edge —
-/// the QoS layer's **Control > Actuation > Data** tiers, tagged at the
-/// channel boundary so per-class flow through every stage is
-/// observable. The tag is accounting, not routing: submission order
-/// and the deterministic merge are class-blind (priority is enforced
-/// upstream, at the facade scheduler).
+/// The scheduling class a submission carries through a pool — the QoS
+/// layer's **Control > Actuation > Data** tiers, tagged at the channel
+/// boundary so per-class flow into the workers is observable. The tag
+/// is accounting, not routing: submission order and the wait are
+/// class-blind (priority is enforced upstream, at the facade
+/// scheduler).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EdgeClass {
     /// Graph-keeping jobs (reorder flushes, bookkeeping events).
@@ -297,41 +287,35 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 /// shard's worker thread.
 pub type Stage<I, O> = Box<dyn FnMut(I) -> O + Send>;
 type StageFactory<I, O> = Box<dyn FnMut(usize) -> Stage<I, O>>;
-/// One result hand-off from a shard worker: every job of one
-/// [`JobBatch`] the worker finished, in batch order. Mirroring the job
-/// channel's batching on the way back keeps the result channel's
-/// send/recv cost per *batch*, not per job.
-type ShardResult<O> = (usize, Vec<(u64, Result<O, String>)>);
-/// One channel hand-off to a shard worker: a burst of sequenced jobs.
-/// Single submissions ride as one-element batches, so the bounded job
-/// queue counts hand-offs, and batch submission amortises the channel
-/// rendezvous over the burst.
-type JobBatch<I> = Vec<(u64, I)>;
+/// One result hand-off from a shard worker: the shard, the job's
+/// sequence number, and its output or panic reason.
+type ShardResult<O> = (usize, u64, Result<O, String>);
 
-/// A fixed pool of shard workers with a deterministic output merge and
-/// worker-failure supervision.
+/// A fixed pool of shard workers with worker-failure supervision.
 ///
-/// Each shard runs one stateful stage function on its own thread; jobs
-/// are tagged with a global submission sequence number and the pool
-/// reassembles outputs in exactly that order, so the result stream is
-/// **bit-identical regardless of thread scheduling**. This is the
-/// threaded driver of the middleware's sharded ingest stage: the caller
+/// Each shard runs one stateful stage function on its own thread, and
+/// jobs submitted to one shard run in submission order. Every job is
+/// tagged with a global submission sequence number;
+/// [`ShardPool::wait`] blocks until every job submitted so far is back
+/// or lost and returns the outputs in that order, so the result stream
+/// is **identical regardless of thread scheduling**. This is the
+/// threaded host of the middleware's sharded ingest stage: the caller
 /// partitions work (e.g. by sensor id) and the pool guarantees that
-/// whatever interleaving the OS produces, downstream observers see the
+/// whatever interleaving the OS produces, the caller sees the
 /// submission order.
 ///
 /// A panicking stage does not wedge the pool: the panic is caught, the
 /// shard is marked **poisoned** (its state may be corrupt), and the
 /// panicked job — plus anything queued behind it on that shard — is
 /// surfaced as a typed [`ShardFailure`] via [`ShardPool::take_failures`]
-/// while the merge skips the lost sequence numbers instead of waiting
-/// forever. Other shards keep delivering; a poisoned shard can be
-/// rebuilt with fresh state via [`ShardPool::restart_shard`].
+/// while the wait stops expecting it. Other shards keep delivering;
+/// under a [`SupervisionConfig`] a poisoned shard is rebuilt with fresh
+/// state from the factory.
 ///
-/// Result channels are unbounded so a worker can never block on a slow
-/// collector while the submitter blocks on a full job queue (the classic
-/// fan-out/fan-in deadlock); memory is bounded by the caller keeping
-/// submissions and [`ShardPool::drain`] calls interleaved.
+/// The result channel is unbounded so a worker can never block on a
+/// slow collector while the submitter blocks on a full job queue (the
+/// classic fan-out/fan-in deadlock); memory is bounded by the caller
+/// waiting between passes.
 ///
 /// # Example
 ///
@@ -348,27 +332,26 @@ type JobBatch<I> = Vec<(u64, I)>;
 /// for i in 0..8u64 {
 ///     pool.submit((i % 4) as usize, i);
 /// }
-/// let (out, failures) = pool.finish();
-/// assert!(failures.is_empty(), "no worker died");
-/// assert_eq!(out.len(), 8, "submission-order merge, nothing lost");
+/// let out = pool.wait();
+/// assert!(pool.take_failures().is_empty(), "no worker died");
+/// assert_eq!(out.len(), 8, "submission order, nothing lost");
 /// assert_eq!(out[0], 1, "job 0 was shard 0's first job");
 /// assert_eq!(out[4], 42, "job 4 was shard 0's second job");
 /// ```
 pub struct ShardPool<I: Send + 'static, O: Send + 'static> {
-    jobs: Vec<Sender<JobBatch<I>>>,
+    jobs: Vec<Sender<(u64, I)>>,
     results: Receiver<ShardResult<O>>,
     result_tx: Sender<ShardResult<O>>,
     workers: Vec<Option<std::thread::JoinHandle<()>>>,
     factory: StageFactory<I, O>,
     capacity: usize,
     next_seq: u64,
-    collected: std::collections::BTreeMap<u64, O>,
-    next_out: u64,
+    /// Outputs received since the last [`ShardPool::wait`], with their
+    /// sequence numbers.
+    ready: Vec<(u64, O)>,
     /// Seqs submitted per shard and not yet returned (FIFO per shard):
     /// the set a panic takes down with it.
     in_flight: Vec<Vec<u64>>,
-    /// Seqs that will never produce an output; the merge skips them.
-    failed_seqs: std::collections::BTreeSet<u64>,
     poisoned: Vec<bool>,
     failures: Vec<ShardFailure>,
     supervision: Option<SupervisionConfig>,
@@ -378,19 +361,18 @@ pub struct ShardPool<I: Send + 'static, O: Send + 'static> {
     poisoned_at: Vec<Option<std::time::Instant>>,
     restarts: u64,
     restart_events: Vec<RestartEvent>,
-    /// Jobs accepted per [`EdgeClass`] (refused try-submissions are not
-    /// counted — they consumed no sequence number).
+    /// Jobs sent to a worker per [`EdgeClass`] (jobs recorded lost at
+    /// submission never reach one and are not counted).
     class_submits: [u64; 3],
 }
 
 impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
-    /// Spawns `shards` workers (at least one). `factory` is called once
-    /// per shard to build that shard's stage function, which owns any
-    /// per-shard state; the factory is retained so
-    /// [`ShardPool::restart_shard`] can rebuild a poisoned shard with
-    /// fresh state. `capacity` bounds each shard's job queue;
+    /// Spawns `shards` workers (at least one) without a restart policy:
+    /// a shard that panics stays poisoned. `factory` is called once per
+    /// shard to build that shard's stage function, which owns any
+    /// per-shard state. `capacity` bounds each shard's job queue;
     /// [`ShardPool::submit`] blocks when the target shard is that far
-    /// behind, [`ShardPool::try_submit`] hands the job back instead.
+    /// behind.
     pub fn new<F>(shards: usize, capacity: usize, factory: F) -> Self
     where
         F: FnMut(usize) -> Stage<I, O> + 'static,
@@ -400,11 +382,9 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
 
     /// [`ShardPool::new`] with an automatic restart policy: with a
     /// [`SupervisionConfig`], a poisoned shard is rebuilt from the
-    /// factory on the next pool interaction instead of waiting for the
-    /// caller to notice and call [`ShardPool::restart_shard`]. Jobs
-    /// in flight on the dying shard are still surfaced as
-    /// [`ShardFailure`]s — supervision bounds the blast radius, it does
-    /// not hide the blast.
+    /// retained factory on a later pool interaction. Jobs in flight on
+    /// the dying shard are still surfaced as [`ShardFailure`]s —
+    /// supervision bounds the blast radius, it does not hide the blast.
     pub fn with_supervision<F>(
         shards: usize,
         capacity: usize,
@@ -420,7 +400,7 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
         let mut jobs = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for shard in 0..shards {
-            let (tx, rx) = channel::bounded::<JobBatch<I>>(capacity);
+            let (tx, rx) = channel::bounded::<(u64, I)>(capacity);
             jobs.push(tx);
             workers.push(Some(Self::spawn_worker(shard, rx, result_tx.clone(), factory(shard))));
         }
@@ -432,10 +412,8 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
             factory: Box::new(factory),
             capacity,
             next_seq: 0,
-            collected: std::collections::BTreeMap::new(),
-            next_out: 0,
+            ready: Vec::new(),
             in_flight: (0..shards).map(|_| Vec::new()).collect(),
-            failed_seqs: std::collections::BTreeSet::new(),
             poisoned: vec![false; shards],
             failures: Vec::new(),
             supervision,
@@ -448,8 +426,6 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
     }
 
     /// Applies the automatic restart policy to every poisoned shard.
-    /// Called from the public entry points (never from inside
-    /// `absorb_ready`, which [`ShardPool::restart_shard`] itself calls).
     fn supervise(&mut self) {
         let Some(cfg) = self.supervision else { return };
         if cfg.max_restarts == 0 {
@@ -479,12 +455,11 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
             self.restart_times[shard].push_back(now);
             self.restarts += 1;
             self.restart_events.push(RestartEvent { shard, delay });
-            self.restart_shard(shard);
+            self.restart(shard);
         }
     }
 
-    /// Shard restarts performed by the automatic supervision policy
-    /// (manual [`ShardPool::restart_shard`] calls are not counted).
+    /// Shard restarts performed by the supervision policy.
     pub fn restart_count(&self) -> u64 {
         self.restarts
     }
@@ -495,42 +470,32 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
         std::mem::take(&mut self.restart_events)
     }
 
-    /// Jobs accepted per [`EdgeClass`], indexed by [`EdgeClass::index`]
-    /// (untagged submissions count as [`EdgeClass::Data`]).
+    /// Jobs sent to a worker per [`EdgeClass`], indexed by
+    /// [`EdgeClass::index`] (untagged submissions count as
+    /// [`EdgeClass::Data`]; jobs recorded lost at submission are not
+    /// counted).
     pub fn class_submits(&self) -> [u64; 3] {
         self.class_submits
     }
 
     fn spawn_worker(
         shard: usize,
-        rx: Receiver<JobBatch<I>>,
+        rx: Receiver<(u64, I)>,
         out: Sender<ShardResult<O>>,
         mut stage: Stage<I, O>,
     ) -> std::thread::JoinHandle<()> {
         std::thread::Builder::new()
             .name(format!("garnet-shard-{shard}"))
             .spawn(move || {
-                while let Ok(batch) = rx.recv() {
-                    let mut results: Vec<(u64, Result<O, String>)> =
-                        Vec::with_capacity(batch.len());
-                    let mut poisoned = false;
-                    for (seq, job) in batch {
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| stage(job)))
-                        {
-                            Ok(o) => results.push((seq, Ok(o))),
-                            Err(payload) => {
-                                // The stage's state may be half-mutated:
-                                // report the loss and exit so the shard
-                                // is poisoned rather than corrupt (jobs
-                                // later in this batch strand with the
-                                // queued ones).
-                                results.push((seq, Err(panic_reason(payload.as_ref()))));
-                                poisoned = true;
-                                break;
-                            }
-                        }
-                    }
-                    if out.send((shard, results)).is_err() || poisoned {
+                while let Ok((seq, job)) = rx.recv() {
+                    // A panicked stage's state may be half-mutated:
+                    // report the loss and exit so the shard is poisoned
+                    // rather than corrupt (queued jobs strand with it).
+                    let result =
+                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| stage(job)))
+                            .map_err(|payload| panic_reason(payload.as_ref()));
+                    let died = result.is_err();
+                    if out.send((shard, seq, result)).is_err() || died {
                         return; // collector gone, or this shard just died
                     }
                 }
@@ -538,24 +503,18 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
             .expect("spawn shard worker")
     }
 
-    /// Number of shard workers.
-    pub fn shard_count(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Submits a job to `shard` (modulo the shard count), blocking while
     /// that shard's queue is full. Jobs submitted to the same shard are
     /// processed in submission order. A job submitted to a dead shard is
-    /// not silently lost: it is recorded as a [`ShardFailure`] and the
-    /// merge skips its slot. Returns the job's sequence number.
+    /// not silently lost: it is recorded as a [`ShardFailure`] without
+    /// being sent. Returns the job's sequence number.
     pub fn submit(&mut self, shard: usize, job: I) -> u64 {
         self.submit_tagged(shard, job, EdgeClass::Data)
     }
 
     /// [`ShardPool::submit`] carrying an explicit [`EdgeClass`] tag,
-    /// counted in [`ShardPool::class_submits`].
+    /// counted in [`ShardPool::class_submits`] once the job is sent.
     pub fn submit_tagged(&mut self, shard: usize, job: I, class: EdgeClass) -> u64 {
-        self.class_submits[class.index()] += 1;
         self.absorb_ready();
         self.supervise();
         let idx = shard % self.jobs.len();
@@ -564,98 +523,13 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
         // A poisoned shard's worker has exited or is about to: a send
         // could still land in its queue and never be answered, so the
         // job is recorded lost without being sent.
-        if !self.poisoned[idx] && self.jobs[idx].send(vec![(seq, job)]).is_ok() {
+        if !self.poisoned[idx] && self.jobs[idx].send((seq, job)).is_ok() {
             self.in_flight[idx].push(seq);
+            self.class_submits[class.index()] += 1;
         } else {
             self.note_lost(idx, seq, "submitted to a poisoned shard".to_owned());
         }
         seq
-    }
-
-    /// Submits a burst of jobs to `shard` as **one** channel hand-off,
-    /// blocking while the shard's queue is full. The jobs take
-    /// consecutive sequence numbers in order (the returned range), so
-    /// the submission-order merge treats them exactly as if each had
-    /// been [`ShardPool::submit`]ted individually — the batch only
-    /// amortises the per-job rendezvous with the worker.
-    pub fn submit_batch(&mut self, shard: usize, jobs: Vec<I>) -> std::ops::Range<u64> {
-        self.submit_batch_tagged(shard, jobs, EdgeClass::Data)
-    }
-
-    /// [`ShardPool::submit_batch`] carrying an explicit [`EdgeClass`]
-    /// tag for the whole burst.
-    pub fn submit_batch_tagged(
-        &mut self,
-        shard: usize,
-        jobs: Vec<I>,
-        class: EdgeClass,
-    ) -> std::ops::Range<u64> {
-        self.class_submits[class.index()] += jobs.len() as u64;
-        self.absorb_ready();
-        self.supervise();
-        let idx = shard % self.jobs.len();
-        let first = self.next_seq;
-        if jobs.is_empty() {
-            return first..first;
-        }
-        self.next_seq += jobs.len() as u64;
-        let batch: JobBatch<I> = (first..self.next_seq).zip(jobs).collect();
-        if !self.poisoned[idx] && self.jobs[idx].send(batch).is_ok() {
-            self.in_flight[idx].extend(first..self.next_seq);
-        } else {
-            for seq in first..self.next_seq {
-                self.note_lost(idx, seq, "submitted to a poisoned shard".to_owned());
-            }
-        }
-        first..self.next_seq
-    }
-
-    /// Non-blocking submission for callers that shed instead of stall:
-    /// at capacity (or on a dead shard) the job is handed back in a
-    /// [`RefusedJob`] and **no sequence number is consumed**, so refused
-    /// jobs leave no gap in the merge.
-    pub fn try_submit(&mut self, shard: usize, job: I) -> Result<u64, RefusedJob<I>> {
-        self.try_submit_tagged(shard, job, EdgeClass::Data)
-    }
-
-    /// [`ShardPool::try_submit`] carrying an explicit [`EdgeClass`] tag
-    /// (counted only when the job is accepted).
-    pub fn try_submit_tagged(
-        &mut self,
-        shard: usize,
-        job: I,
-        class: EdgeClass,
-    ) -> Result<u64, RefusedJob<I>> {
-        let seq = self.try_submit_inner(shard, job)?;
-        self.class_submits[class.index()] += 1;
-        Ok(seq)
-    }
-
-    fn try_submit_inner(&mut self, shard: usize, job: I) -> Result<u64, RefusedJob<I>> {
-        self.absorb_ready();
-        self.supervise();
-        let idx = shard % self.jobs.len();
-        if self.poisoned[idx] {
-            return Err(RefusedJob::Poisoned(job));
-        }
-        let seq = self.next_seq;
-        let unwrap_one =
-            |mut batch: JobBatch<I>| batch.pop().expect("refused batch holds the one job").1;
-        match self.jobs[idx].try_send(vec![(seq, job)]) {
-            Ok(()) => {
-                self.next_seq += 1;
-                self.in_flight[idx].push(seq);
-                Ok(seq)
-            }
-            Err(TrySendError::Full(batch)) => Err(RefusedJob::Full(unwrap_one(batch))),
-            Err(TrySendError::Disconnected(batch)) => {
-                if !self.poisoned[idx] {
-                    self.poisoned_at[idx] = Some(std::time::Instant::now());
-                }
-                self.poisoned[idx] = true;
-                Err(RefusedJob::Poisoned(unwrap_one(batch)))
-            }
-        }
     }
 
     fn note_lost(&mut self, shard: usize, seq: u64, reason: String) {
@@ -663,7 +537,6 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
             self.poisoned_at[shard] = Some(std::time::Instant::now());
         }
         self.poisoned[shard] = true;
-        self.failed_seqs.insert(seq);
         self.failures.push(ShardFailure { shard, seq, reason });
     }
 
@@ -673,23 +546,19 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
         }
     }
 
-    fn absorb(&mut self, (shard, results): ShardResult<O>) {
-        for (seq, res) in results {
-            if let Some(pos) = self.in_flight[shard].iter().position(|&s| s == seq) {
-                self.in_flight[shard].remove(pos);
-            }
-            match res {
-                Ok(o) => {
-                    self.collected.insert(seq, o);
-                }
-                Err(reason) => {
-                    // The worker exited after this panic, taking every
-                    // job still queued behind it on this shard.
-                    let stranded = std::mem::take(&mut self.in_flight[shard]);
-                    self.note_lost(shard, seq, reason);
-                    for s in stranded {
-                        self.note_lost(shard, s, "stranded behind a shard panic".to_owned());
-                    }
+    fn absorb(&mut self, (shard, seq, result): ShardResult<O>) {
+        if let Some(pos) = self.in_flight[shard].iter().position(|&s| s == seq) {
+            self.in_flight[shard].remove(pos);
+        }
+        match result {
+            Ok(o) => self.ready.push((seq, o)),
+            Err(reason) => {
+                // The worker exited after this panic, taking every job
+                // still queued behind it on this shard.
+                let stranded = std::mem::take(&mut self.in_flight[shard]);
+                self.note_lost(shard, seq, reason);
+                for s in stranded {
+                    self.note_lost(shard, s, "stranded behind a shard panic".to_owned());
                 }
             }
         }
@@ -697,10 +566,10 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
 
     /// Blocks on the result channel until every job submitted so far
     /// has returned or been recorded as a [`ShardFailure`], then
-    /// returns the outputs in submission order (as [`ShardPool::drain`]
-    /// would). A worker panic ends the wait for its shard's jobs, and a
-    /// job submitted to a dead shard is recorded lost at submission, so
-    /// the wait never blocks on a seq that cannot arrive.
+    /// returns the outputs in submission order. A worker panic ends the
+    /// wait for its shard's jobs, and a job submitted to a dead shard
+    /// is recorded lost at submission, so the wait never blocks on a
+    /// job that cannot come back. Supervision runs on the way out.
     pub fn wait(&mut self) -> Vec<O> {
         self.absorb_ready();
         while self.in_flight.iter().any(|jobs| !jobs.is_empty()) {
@@ -709,34 +578,9 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
                 Err(_) => break, // unreachable: the pool holds a sender
             }
         }
-        self.drain()
-    }
-
-    /// Returns the outputs that are ready *and* form a gap-free prefix of
-    /// the submission order (sequence numbers lost to a shard failure
-    /// are skipped, not waited on). Outputs held back here are released
-    /// by a later `drain` or by [`ShardPool::finish`].
-    pub fn drain(&mut self) -> Vec<O> {
-        self.absorb_ready();
         self.supervise();
-        let mut out = Vec::new();
-        loop {
-            if let Some(o) = self.collected.remove(&self.next_out) {
-                out.push(o);
-            } else if !self.failed_seqs.remove(&self.next_out) {
-                break;
-            }
-            self.next_out += 1;
-        }
-        out
-    }
-
-    /// The submission sequence number up to which outputs have been
-    /// merged and released (exclusive): everything below it is fully
-    /// accounted for — delivered, or recorded as a [`ShardFailure`].
-    /// Callers keeping per-job side tables can prune below this mark.
-    pub fn merged_watermark(&self) -> u64 {
-        self.next_out
+        self.ready.sort_unstable_by_key(|&(seq, _)| seq);
+        self.ready.drain(..).map(|(_, o)| o).collect()
     }
 
     /// Takes the failures recorded so far (panicked jobs, jobs stranded
@@ -746,69 +590,34 @@ impl<I: Send + 'static, O: Send + 'static> ShardPool<I, O> {
         std::mem::take(&mut self.failures)
     }
 
-    /// Shards whose worker has died and not been restarted.
-    pub fn poisoned_shards(&mut self) -> Vec<usize> {
-        self.absorb_ready();
-        (0..self.poisoned.len()).filter(|&s| self.poisoned[s]).collect()
-    }
-
-    /// Tears down `shard`'s worker (dead or alive) and rebuilds it with
-    /// fresh state from the retained factory. Jobs still unaccounted
-    /// for on that shard are recorded as [`ShardFailure`]s — a restart
-    /// never silently loses work it can't finish.
-    pub fn restart_shard(&mut self, shard: usize) {
-        let idx = shard % self.jobs.len();
-        let (tx, rx) = channel::bounded::<JobBatch<I>>(self.capacity);
-        // Dropping the old sender makes a live worker drain its queue
-        // and exit; a panicked worker is already gone.
-        drop(std::mem::replace(&mut self.jobs[idx], tx));
-        if let Some(w) = self.workers[idx].take() {
+    /// Tears down `shard`'s worker (already dead: only poisoned shards
+    /// restart) and rebuilds it with fresh state from the retained
+    /// factory.
+    fn restart(&mut self, shard: usize) {
+        let (tx, rx) = channel::bounded::<(u64, I)>(self.capacity);
+        drop(std::mem::replace(&mut self.jobs[shard], tx));
+        if let Some(w) = self.workers[shard].take() {
             let _ = w.join();
         }
         self.absorb_ready();
-        for seq in std::mem::take(&mut self.in_flight[idx]) {
-            self.failed_seqs.insert(seq);
+        // The panic that poisoned the shard stranded its queue already;
+        // anything still unaccounted for is recorded, never waited on.
+        for seq in std::mem::take(&mut self.in_flight[shard]) {
             self.failures.push(ShardFailure {
-                shard: idx,
+                shard,
                 seq,
                 reason: "dropped during shard restart".to_owned(),
             });
         }
-        self.workers[idx] =
-            Some(Self::spawn_worker(idx, rx, self.result_tx.clone(), (self.factory)(idx)));
-        self.poisoned[idx] = false;
-        self.poisoned_at[idx] = None;
-    }
-
-    /// Closes the job queues, waits for every worker to finish, and
-    /// returns all remaining outputs in submission order together with
-    /// every recorded [`ShardFailure`] — a panicked shard neither hangs
-    /// the join nor goes unaccounted.
-    pub fn finish(mut self) -> (Vec<O>, Vec<ShardFailure>) {
-        self.jobs.clear(); // drop senders: workers drain and exit
-        for w in self.workers.drain(..).flatten() {
-            let _ = w.join();
-        }
-        self.absorb_ready();
-        // Anything still in flight at this point can only be a job a
-        // worker dropped on its way out; account for it.
-        for shard in 0..self.in_flight.len() {
-            for seq in std::mem::take(&mut self.in_flight[shard]) {
-                self.failures.push(ShardFailure {
-                    shard,
-                    seq,
-                    reason: "dropped at pool shutdown".to_owned(),
-                });
-            }
-        }
-        let collected = std::mem::take(&mut self.collected);
-        (collected.into_values().collect(), std::mem::take(&mut self.failures))
+        self.workers[shard] =
+            Some(Self::spawn_worker(shard, rx, self.result_tx.clone(), (self.factory)(shard)));
+        self.poisoned[shard] = false;
+        self.poisoned_at[shard] = None;
     }
 }
 
 impl<I: Send + 'static, O: Send + 'static> Drop for ShardPool<I, O> {
-    /// Closes the job queues and joins the workers (a no-op after
-    /// [`ShardPool::finish`], which has already done both).
+    /// Closes the job queues and joins the workers.
     fn drop(&mut self) {
         self.jobs.clear();
         for w in self.workers.drain(..).flatten() {
@@ -926,10 +735,43 @@ mod tests {
         assert!(matches!(bus.send_blocking("a", 1), Err(BusError::Disconnected(_))));
     }
 
+    /// Runs `f` with the default panic hook silenced, so tests that
+    /// deliberately panic a shard worker don't spray backtraces.
+    fn quiet_panics<R>(f: impl FnOnce() -> R) -> R {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let r = f();
+        std::panic::set_hook(prev);
+        r
+    }
+
+    /// Runs `body` on its own thread and fails the test if it has not
+    /// finished within 5 s, so a hung wait fails instead of stalling.
+    fn within_5s<R: Send + 'static>(body: impl FnOnce() -> R + Send + 'static) -> R {
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(body());
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(5)).expect("wait did not return within 5 s")
+    }
+
+    /// A one-shard pool whose stage panics on 99 and otherwise returns
+    /// its input plus one.
+    fn poison_pill_pool(supervision: Option<SupervisionConfig>) -> ShardPool<u32, u32> {
+        ShardPool::with_supervision(1, 8, supervision, |_| {
+            Box::new(|x| {
+                if x == 99 {
+                    panic!("boom");
+                }
+                x + 1
+            })
+        })
+    }
+
     #[test]
-    fn shard_pool_merges_in_submission_order() {
+    fn shard_pool_returns_outputs_in_submission_order() {
         // Workers that sleep *inversely* to their shard index, so later
-        // submissions finish first — the merge must still be in
+        // submissions finish first — the wait must still return them in
         // submission order.
         let mut pool: ShardPool<u32, u32> = ShardPool::new(3, 8, |shard| {
             Box::new(move |x| {
@@ -940,58 +782,9 @@ mod tests {
         for i in 0..30u32 {
             pool.submit((i % 3) as usize, i);
         }
-        let (out, failures) = pool.finish();
-        assert_eq!(out, (0..30).collect::<Vec<u32>>());
-        assert!(failures.is_empty());
-    }
-
-    #[test]
-    fn shard_pool_batch_submission_matches_individual_submission() {
-        // The same jobs through submit_batch must merge in the same
-        // order and with the same per-shard state evolution as
-        // one-at-a-time submission.
-        let factory = |_shard: usize| -> Stage<u32, u64> {
-            let mut n = 0u64;
-            Box::new(move |x| {
-                n += 1;
-                u64::from(x) * 100 + n
-            })
-        };
-        let mut single: ShardPool<u32, u64> = ShardPool::new(2, 8, factory);
-        let mut batched: ShardPool<u32, u64> = ShardPool::new(2, 8, factory);
-        for chunk in (0..24u32).collect::<Vec<_>>().chunks(6) {
-            for &x in chunk {
-                single.submit((x % 2) as usize, x);
-            }
-            // Mirror the interleaving per shard: evens to 0, odds to 1.
-            for shard in 0..2u32 {
-                let jobs: Vec<u32> = chunk.iter().copied().filter(|x| x % 2 == shard).collect();
-                let seqs = batched.submit_batch(shard as usize, jobs);
-                assert_eq!(seqs.end - seqs.start, 3);
-            }
-        }
-        let (a, fa) = single.finish();
-        let (b, fb) = batched.finish();
-        assert!(fa.is_empty() && fb.is_empty());
-        // Per-shard sequences are identical; the global interleave
-        // differs only by the within-chunk submission order we chose.
-        let per_shard = |v: &[u64], shard: u64| -> Vec<u64> {
-            v.iter().copied().filter(|o| (o / 100) % 2 == shard).collect()
-        };
-        for shard in 0..2u64 {
-            assert_eq!(per_shard(&a, shard), per_shard(&b, shard), "shard {shard}");
-        }
-    }
-
-    #[test]
-    fn shard_pool_empty_batch_is_a_no_op() {
-        let mut pool: ShardPool<u32, u32> = ShardPool::new(1, 4, |_| Box::new(|x| x));
-        let seqs = pool.submit_batch(0, Vec::new());
-        assert!(seqs.is_empty());
-        pool.submit(0, 7);
-        let (out, failures) = pool.finish();
-        assert_eq!(out, vec![7], "empty batch consumed no sequence number");
-        assert!(failures.is_empty());
+        assert_eq!(pool.wait(), (0..30).collect::<Vec<u32>>());
+        assert!(pool.take_failures().is_empty());
+        assert!(pool.wait().is_empty(), "a wait returns each output once");
     }
 
     #[test]
@@ -1007,74 +800,38 @@ mod tests {
             pool.submit(i % 2, ());
         }
         // Each shard saw 3 jobs: counters run 1..=3 independently.
-        assert_eq!(pool.finish().0, vec![1, 1, 2, 2, 3, 3]);
-    }
-
-    #[test]
-    fn shard_pool_drain_releases_gap_free_prefix() {
-        let mut pool: ShardPool<u32, u32> = ShardPool::new(2, 4, |_| Box::new(|x| x));
-        for i in 0..4u32 {
-            pool.submit(i as usize % 2, i);
-        }
-        let mut got = Vec::new();
-        while got.len() < 4 {
-            got.extend(pool.drain());
-        }
-        assert_eq!(got, vec![0, 1, 2, 3]);
-        assert!(pool.finish().0.is_empty());
-    }
-
-    /// Runs `f` with the default panic hook silenced, so tests that
-    /// deliberately panic a shard worker don't spray backtraces.
-    fn quiet_panics<R>(f: impl FnOnce() -> R) -> R {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let r = f();
-        std::panic::set_hook(prev);
-        r
+        assert_eq!(pool.wait(), vec![1, 1, 2, 2, 3, 3]);
     }
 
     #[test]
     fn shard_pool_survives_worker_panic() {
         quiet_panics(|| {
-            let mut pool: ShardPool<u32, u32> = ShardPool::new(2, 8, |_| {
-                Box::new(|x| {
-                    if x == 13 {
-                        panic!("unlucky job");
-                    }
-                    x
-                })
+            let (got, failures, later) = within_5s(|| {
+                let mut pool: ShardPool<u32, u32> = ShardPool::new(2, 8, |_| {
+                    Box::new(|x| {
+                        if x == 13 {
+                            panic!("unlucky job");
+                        }
+                        x
+                    })
+                });
+                // Shard 1 gets the poison pill between two good jobs.
+                pool.submit(0, 1);
+                pool.submit(1, 13);
+                pool.submit(0, 2);
+                let got = pool.wait();
+                let failures = pool.take_failures();
+                // The healthy shard keeps taking work.
+                pool.submit(0, 3);
+                (got, failures, pool.wait())
             });
-            // Shard 1 gets the poison pill between two good jobs.
-            pool.submit(0, 1);
-            pool.submit(1, 13);
-            pool.submit(0, 2);
-            let mut got = Vec::new();
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            while got.len() < 2 {
-                got.extend(pool.drain());
-                assert!(std::time::Instant::now() < deadline, "merge hung on the lost seq");
-            }
             assert_eq!(got, vec![1, 2], "healthy shard kept delivering across the gap");
-            let failures = pool.take_failures();
             assert_eq!(failures.len(), 1);
             assert_eq!(failures[0].shard, 1);
             assert_eq!(failures[0].seq, 1);
             assert_eq!(failures[0].reason, "unlucky job");
-            assert_eq!(pool.poisoned_shards(), vec![1]);
-            let (rest, more) = pool.finish();
-            assert!(rest.is_empty() && more.is_empty());
+            assert_eq!(later, vec![3]);
         });
-    }
-
-    /// Runs `body` on its own thread and fails the test if it has not
-    /// finished within 5 s, so a hung wait fails instead of stalling.
-    fn within_5s<R: Send + 'static>(body: impl FnOnce() -> R + Send + 'static) -> R {
-        let (tx, rx) = std::sync::mpsc::channel();
-        thread::spawn(move || {
-            let _ = tx.send(body());
-        });
-        rx.recv_timeout(std::time::Duration::from_secs(5)).expect("wait did not return within 5 s")
     }
 
     #[test]
@@ -1107,112 +864,75 @@ mod tests {
     #[test]
     fn wait_never_blocks_on_a_job_submitted_to_a_dead_shard() {
         quiet_panics(|| {
-            let (out, failures, poisoned) = within_5s(|| {
-                let mut pool: ShardPool<u32, u32> = ShardPool::new(1, 8, |_| {
-                    Box::new(|x| {
-                        if x == 99 {
-                            panic!("boom");
-                        }
-                        x
-                    })
-                });
+            let (out, failures) = within_5s(|| {
+                let mut pool = poison_pill_pool(None);
                 pool.submit(0, 99);
                 assert!(pool.wait().is_empty(), "the only job died");
                 // The shard is dead and unsupervised: this job is
                 // recorded lost at submission, never sent.
                 pool.submit(0, 7);
                 let out = pool.wait();
-                (out, pool.take_failures(), pool.poisoned_shards())
+                (out, pool.take_failures())
             });
             assert!(out.is_empty());
             assert_eq!(failures.len(), 2);
             assert_eq!(failures[1].seq, 1);
             assert_eq!(failures[1].reason, "submitted to a poisoned shard");
-            assert_eq!(poisoned, vec![0]);
         });
     }
 
     #[test]
-    fn restart_revives_a_poisoned_shard_with_fresh_state() {
+    fn class_submits_skip_jobs_lost_to_a_shard_awaiting_restart() {
+        // A job submitted inside the restart backoff is recorded lost
+        // without reaching a worker, so it must not count as handed to
+        // the workers.
         quiet_panics(|| {
-            let mut pool: ShardPool<u32, u32> = ShardPool::new(1, 8, |_| {
-                let mut count = 0u32;
-                Box::new(move |x| {
-                    if x == 99 {
-                        panic!("boom");
-                    }
-                    count += 1;
-                    count * 100 + x
-                })
-            });
-            pool.submit(0, 1);
-            pool.submit(0, 99);
-            while pool.poisoned_shards().is_empty() {
-                std::thread::yield_now();
-            }
-            pool.restart_shard(0);
-            assert!(pool.poisoned_shards().is_empty());
-            pool.submit(0, 2);
-            let (out, failures) = pool.finish();
-            // The restarted stage counts from zero again.
-            assert_eq!(out, vec![101, 102]);
-            assert_eq!(failures.len(), 1);
-            assert_eq!(failures[0].reason, "boom");
+            let backoff = std::time::Duration::from_secs(3600);
+            let cfg = SupervisionConfig {
+                max_restarts: 3,
+                window: std::time::Duration::from_secs(3600),
+                base_backoff: backoff,
+                backoff_cap: backoff,
+            };
+            let mut pool = poison_pill_pool(Some(cfg));
+            pool.submit_tagged(0, 99, EdgeClass::Data);
+            assert!(pool.wait().is_empty(), "the only job died");
+            assert_eq!(pool.class_submits(), [0, 0, 1]);
+            pool.submit_tagged(0, 1, EdgeClass::Data);
+            pool.submit_tagged(0, 2, EdgeClass::Control);
+            assert!(pool.wait().is_empty(), "both jobs were lost at submission");
+            assert_eq!(pool.restart_count(), 0, "the backoff has not elapsed");
+            assert_eq!(pool.class_submits(), [0, 0, 1], "lost jobs were counted as sent");
+            let lost: Vec<u64> = pool.take_failures().iter().map(|f| f.seq).collect();
+            assert_eq!(lost, vec![0, 1, 2]);
         });
     }
 
     #[test]
-    fn try_submit_sheds_on_full_and_poisoned() {
-        let mut pool: ShardPool<u32, u32> = ShardPool::new(1, 1, |_| {
-            Box::new(|x| {
-                thread::sleep(std::time::Duration::from_millis(50));
-                x
-            })
-        });
-        pool.submit(0, 0); // worker picks this up and sleeps
-                           // Fill the single-slot queue, then overflow it.
-        let mut refused = 0;
-        for i in 1..20u32 {
-            match pool.try_submit(0, i) {
-                Ok(_) => {}
-                Err(RefusedJob::Full(job)) => {
-                    assert_eq!(job, i, "refused job handed back");
-                    refused += 1;
-                }
-                Err(RefusedJob::Poisoned(_)) => panic!("worker is healthy"),
-            }
-        }
-        assert!(refused > 0, "a 1-deep queue must refuse some of 19 rapid submissions");
-        let (out, failures) = pool.finish();
-        assert_eq!(out.len(), 19 - refused + 1, "accepted jobs all completed, no gaps");
-        assert!(failures.is_empty());
-    }
-
-    #[test]
-    fn supervision_restarts_a_poisoned_shard_automatically() {
+    fn supervision_restarts_a_poisoned_shard_with_fresh_state() {
         quiet_panics(|| {
             let mut pool: ShardPool<u32, u32> =
                 ShardPool::with_supervision(1, 8, Some(SupervisionConfig::default()), |_| {
-                    Box::new(|x| {
+                    let mut count = 0u32;
+                    Box::new(move |x| {
                         if x == 99 {
                             panic!("boom");
                         }
-                        x + 1
+                        count += 1;
+                        count * 100 + x
                     })
                 });
             pool.submit(0, 1);
             pool.submit(0, 99);
-            // Wait for the panic to land, then keep interacting until
-            // the supervised restart fires (the default policy backs
-            // off 10 ms after the worker's death before rebuilding).
+            assert_eq!(pool.wait(), vec![101], "the job ahead of the panic survives");
+            let failures = pool.take_failures();
+            assert_eq!(failures.len(), 1);
+            assert_eq!(failures[0].reason, "boom");
+            // Keep interacting until the supervised restart fires (the
+            // default policy backs off 10 ms after the worker's death).
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            while pool.take_failures().is_empty() {
-                std::thread::yield_now();
-                assert!(std::time::Instant::now() < deadline, "panic never surfaced");
-            }
-            let mut got = Vec::new();
-            while !pool.poisoned_shards().is_empty() {
-                got.extend(pool.drain()); // supervise() runs here
+            while pool.restart_count() == 0 {
+                assert!(pool.wait().is_empty());
                 std::thread::yield_now();
                 assert!(std::time::Instant::now() < deadline, "shard never restarted");
             }
@@ -1222,10 +942,9 @@ mod tests {
             assert_eq!(events[0].shard, 0);
             assert_eq!(events[0].delay, SupervisionConfig::default().base_backoff);
             pool.submit(0, 2);
-            let (rest, failures) = pool.finish();
-            got.extend(rest);
-            assert_eq!(got, vec![2, 3]);
-            assert!(failures.is_empty(), "failure was already taken");
+            // The restarted stage counts from zero again.
+            assert_eq!(pool.wait(), vec![102]);
+            assert!(pool.take_failures().is_empty(), "failure was already taken");
         });
     }
 
@@ -1233,30 +952,19 @@ mod tests {
     fn supervision_budget_exhausts_and_shard_stays_poisoned() {
         quiet_panics(|| {
             let cfg = SupervisionConfig::immediate(1, std::time::Duration::from_secs(3600));
-            let mut pool: ShardPool<u32, u32> =
-                ShardPool::with_supervision(1, 8, Some(cfg), |_| {
-                    Box::new(|x| {
-                        if x == 99 {
-                            panic!("boom");
-                        }
-                        x
-                    })
-                });
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-            let crash = |pool: &mut ShardPool<u32, u32>| {
-                pool.submit(0, 99);
-                while pool.poisoned_shards().is_empty() {
-                    std::thread::yield_now();
-                    assert!(std::time::Instant::now() < deadline, "panic never surfaced");
-                }
-            };
-            crash(&mut pool);
-            pool.submit(0, 1); // first crash: restarted under budget
-            assert_eq!(pool.restart_count(), 1);
-            crash(&mut pool);
-            pool.drain(); // second crash: budget spent, stays poisoned
-            assert_eq!(pool.restart_count(), 1);
-            assert_eq!(pool.poisoned_shards(), vec![0]);
+            let mut pool = poison_pill_pool(Some(cfg));
+            pool.submit(0, 99);
+            assert!(pool.wait().is_empty());
+            assert_eq!(pool.restart_count(), 1, "first crash: restarted under budget");
+            pool.submit(0, 1);
+            assert_eq!(pool.wait(), vec![2]);
+            pool.submit(0, 99);
+            assert!(pool.wait().is_empty());
+            assert_eq!(pool.restart_count(), 1, "second crash: budget spent");
+            pool.submit(0, 1);
+            assert!(pool.wait().is_empty(), "the shard stays poisoned");
+            let reasons: Vec<String> = pool.take_failures().into_iter().map(|f| f.reason).collect();
+            assert_eq!(reasons, vec!["boom", "boom", "submitted to a poisoned shard"]);
         });
     }
 
@@ -1269,40 +977,25 @@ mod tests {
                 base_backoff: std::time::Duration::from_millis(100),
                 backoff_cap: std::time::Duration::from_secs(5),
             };
-            let mut pool: ShardPool<u32, u32> =
-                ShardPool::with_supervision(1, 8, Some(cfg), |_| {
-                    Box::new(|x| {
-                        if x == 99 {
-                            panic!("boom");
-                        }
-                        x
-                    })
-                });
+            let mut pool = poison_pill_pool(Some(cfg));
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            let crash = |pool: &mut ShardPool<u32, u32>| {
-                pool.submit(0, 99);
-                while pool.poisoned_shards().is_empty() {
-                    std::thread::yield_now();
-                    assert!(std::time::Instant::now() < deadline, "panic never surfaced");
-                }
-            };
 
-            crash(&mut pool);
+            pool.submit(0, 99);
             // Interacting right after the death must NOT restart: the
             // pre-backoff behaviour burned the whole budget here.
-            pool.drain();
+            pool.wait();
             assert_eq!(pool.restart_count(), 0, "restart fired before the backoff elapsed");
             while pool.restart_count() == 0 {
-                pool.drain();
+                pool.wait();
                 std::thread::yield_now();
                 assert!(std::time::Instant::now() < deadline, "first restart never fired");
             }
 
-            crash(&mut pool);
-            pool.drain();
+            pool.submit(0, 99);
+            pool.wait();
             assert_eq!(pool.restart_count(), 1, "second restart skipped its longer backoff");
             while pool.restart_count() == 1 {
-                pool.drain();
+                pool.wait();
                 std::thread::yield_now();
                 assert!(std::time::Instant::now() < deadline, "second restart never fired");
             }
@@ -1314,8 +1007,6 @@ mod tests {
                 vec![std::time::Duration::from_millis(100), std::time::Duration::from_millis(200)],
                 "backoff doubles per restart in the window"
             );
-            let _ = pool.take_failures();
-            drop(pool.finish());
         });
     }
 

@@ -17,8 +17,6 @@
 //! * [`bus`] — asynchronous message exchange between services, with a
 //!   crossbeam-channel threaded driver for live deployments (experiments
 //!   use the deterministic `garnet-simkit` event queue instead);
-//! * [`rpc`] — request/response correlation over the bus (the "Remote
-//!   Procedure Call" arrows of Figure 1);
 //! * [`archiver`] — the background writer that drains pre-encoded
 //!   archive records into a `garnet-store` log without ever blocking
 //!   frame delivery.
@@ -31,16 +29,14 @@ pub mod auth;
 pub mod bus;
 pub mod pubsub;
 pub mod registry;
-pub mod rpc;
 
 pub use archiver::{Archiver, ArchiverCounters, ArchiverShutdown, FlushOutcome};
 pub use auth::{AuthService, Capability, CapabilitySet, Principal, Token};
 pub use bus::{
-    BusError, EdgeClass, RefusedJob, RestartEvent, ShardFailure, ShardPool, Stage,
-    SupervisionConfig, ThreadedBus,
+    BusError, EdgeClass, RestartEvent, ShardFailure, ShardPool, Stage, SupervisionConfig,
+    ThreadedBus,
 };
 pub use pubsub::{
     DispatchCacheConfig, MatchCache, MatchCacheStats, SubscriberId, SubscriptionTable, TopicFilter,
 };
 pub use registry::{ServiceDescriptor, ServiceKind, ServiceRegistry};
-pub use rpc::{CallId, RpcTable};

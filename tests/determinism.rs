@@ -9,7 +9,7 @@ use garnet::core::consumer::{Consumer, ConsumerCtx};
 use garnet::core::filtering::Delivery;
 use garnet::core::middleware::{Garnet, GarnetConfig};
 use garnet::core::pipeline::{PipelineConfig, PipelineSim, SharedCountConsumer};
-use garnet::core::{DriverKind, QosConfig, QosMode};
+use garnet::core::DriverKind;
 use garnet::net::TopicFilter;
 use garnet::radio::field::GaussianPlume;
 use garnet::radio::geometry::{Point, Rect};
@@ -400,54 +400,6 @@ proptest! {
         });
         prop_assert_eq!(&batched.log, &uncached.log, "cache toggle changed deliveries");
         prop_assert_eq!(batched.counters, uncached.counters, "cache toggle changed counters");
-    }
-}
-
-proptest! {
-    // The QoS scheduler only arms when an overload config is present,
-    // so on the default (unbounded) facade the Scheduled and Legacy
-    // modes must be observably indistinguishable — the delivery log,
-    // every counter and the full metrics report are bit-identical
-    // across {Fifo,Threaded} × ingest {1,4} × dispatch {1,4} ×
-    // {batched,per-frame} and random arrival chunking. This is the
-    // `GARNET_TEST_QOS=legacy` contract: turning QoS off cannot change
-    // a no-overload world.
-    #[test]
-    fn qos_does_not_change_the_world(
-        sensors in 2u32..6,
-        n in 4u16..24,
-        drop_mask in proptest::collection::vec(0u8..8, 32),
-        dup_mask in proptest::collection::vec(0u8..4, 32),
-        chunks in proptest::collection::vec(1usize..17, 1..24),
-        driver_idx in 0usize..2,
-        ingest in prop_oneof![Just(1usize), Just(4usize)],
-        dispatch in prop_oneof![Just(1usize), Just(4usize)],
-        batch_ingest in proptest::bool::ANY,
-    ) {
-        let frames = burst_schedule(sensors, n, &drop_mask, &dup_mask);
-        if frames.is_empty() {
-            return; // masks dropped everything; nothing to compare
-        }
-        let driver = [DriverKind::Fifo, DriverKind::Threaded][driver_idx];
-        let cfg = |mode| GarnetConfig {
-            driver,
-            ingest_shards: ingest,
-            dispatch_shards: dispatch,
-            batch_ingest,
-            qos: QosConfig { mode, ..QosConfig::default() },
-            ..GarnetConfig::default()
-        };
-        let scheduled = facade_replay(&frames, &chunks, cfg(QosMode::Scheduled));
-        let legacy = facade_replay(&frames, &chunks, cfg(QosMode::Legacy));
-        prop_assert_eq!(
-            &scheduled,
-            &legacy,
-            "qos toggle changed an unbounded world ({:?} {}x{} batch={})",
-            driver,
-            ingest,
-            dispatch,
-            batch_ingest
-        );
     }
 }
 

@@ -205,31 +205,25 @@ fn coalesce_then_shed_counts_once() {
     // Regression for the CoalesceFrames double-count: a frame that is
     // coalesced and whose survivor is later shed must enter the ledger
     // exactly once. Pin `offered == shed + delivered` with duplicates
-    // at every position, in both the scheduled and the legacy path.
-    for mode in [QosMode::Scheduled, QosMode::Legacy] {
-        // The legacy arm exercises the engine's own admission queue, so
-        // pin the FIFO engine: threaded legacy admission is
-        // timing-dependent and only owes the balance, not the counts.
-        let mut g = Garnet::new(GarnetConfig {
-            driver: DriverKind::Fifo,
-            qos: QosConfig { mode, ..QosConfig::default() },
-            ..scheduled(OverloadPolicy::CoalesceFrames)
-        });
-        let (_, _log) = register(&mut g, "sink");
-        assert_eq!(g.qos_active(), mode == QosMode::Scheduled);
-        let mut offered = 0u64;
-        let mut shed = 0u64;
-        let mut delivered = 0u64;
-        for round in 0..3u64 {
-            let out = g.on_frames(burst(8), SimTime::from_millis(1 + round));
-            offered += out.overload.offered;
-            shed += out.overload.shed;
-            delivered += out.overload.delivered;
-            assert!(out.overload.coalesced > 0, "{mode:?}: duplicates must coalesce");
-        }
-        assert_eq!(offered, shed + delivered, "{mode:?}: coalesce-then-shed double-counted");
-        g.on_tick(SimTime::from_secs(1));
+    // at every position.
+    let mut g = Garnet::new(GarnetConfig {
+        driver: DriverKind::Fifo,
+        ..scheduled(OverloadPolicy::CoalesceFrames)
+    });
+    let (_, _log) = register(&mut g, "sink");
+    assert!(g.qos_active());
+    let mut offered = 0u64;
+    let mut shed = 0u64;
+    let mut delivered = 0u64;
+    for round in 0..3u64 {
+        let out = g.on_frames(burst(8), SimTime::from_millis(1 + round));
+        offered += out.overload.offered;
+        shed += out.overload.shed;
+        delivered += out.overload.delivered;
+        assert!(out.overload.coalesced > 0, "duplicates must coalesce");
     }
+    assert_eq!(offered, shed + delivered, "coalesce-then-shed double-counted");
+    g.on_tick(SimTime::from_secs(1));
 }
 
 #[test]
@@ -305,60 +299,4 @@ fn adaptive_capacity_retunes_within_its_band() {
     assert!(expanded > contracted, "sustained overload must re-expand the bound");
     let ledgers = g.qos_ledgers().expect("scheduler is active");
     assert!(ledgers.class(PriorityClass::Data).balanced(), "retuning must not unbalance books");
-}
-
-#[test]
-fn legacy_mode_reproduces_the_engine_overload_path() {
-    // GARNET_TEST_QOS=legacy contract, pinned explicitly: Legacy mode
-    // hands the overload config to the engine and the scheduler never
-    // arms, so the pre-QoS books are reproduced exactly.
-    let mut g = Garnet::new(GarnetConfig {
-        driver: DriverKind::Fifo,
-        qos: QosConfig { mode: QosMode::Legacy, ..QosConfig::default() },
-        ..scheduled(OverloadPolicy::Shed)
-    });
-    let (slow_id, _log) = register(&mut g, "sink");
-    assert!(!g.qos_active());
-    assert!(g.qos_ledgers().is_none());
-    // Drain limits are refused in legacy mode — the delivery plane
-    // stays out of the path entirely.
-    g.set_consumer_drain_limit(slow_id, Some(1));
-    let out = g.on_frames(burst(8), SimTime::from_millis(1));
-    assert_eq!(g.delivery_backlog(), 0, "legacy mode must not stage deliveries");
-    assert_eq!(out.overload.offered, out.overload.shed + out.overload.delivered);
-    assert!(out.overload.shed > 0, "the engine's own bounded queue still sheds");
-}
-
-#[test]
-fn legacy_overload_ledger_is_engine_invariant() {
-    // Under QosMode::Legacy the router's own bounded queue governs
-    // admission, and both engines run that router: the OverloadStats
-    // ledger of an overloaded burst must not depend on the engine —
-    // CoalesceFrames coalesces on the threaded engine too, and Shed
-    // sheds the same frames.
-    const LEGACY_CAPACITY: usize = 8;
-    let ledger = |driver, policy| {
-        let mut g = Garnet::new(GarnetConfig {
-            driver,
-            overload: Some(OverloadConfig { capacity: LEGACY_CAPACITY, policy }),
-            qos: QosConfig { mode: QosMode::Legacy, ..QosConfig::default() },
-            ..GarnetConfig::default()
-        });
-        let (_, log) = register(&mut g, "sink");
-        assert!(!g.qos_active());
-        let out = g.on_frames(burst(4), SimTime::from_millis(1));
-        let o = out.overload;
-        let delivered = log.lock().unwrap().clone();
-        ((o.offered, o.shed, o.coalesced, o.delivered, o.peak_queue_depth), delivered)
-    };
-    for policy in [OverloadPolicy::Shed, OverloadPolicy::CoalesceFrames] {
-        let (fifo, fifo_log) = ledger(DriverKind::Fifo, policy);
-        let (threaded, threaded_log) = ledger(DriverKind::Threaded, policy);
-        assert!(fifo.1 > 0, "{policy:?}: the burst must overflow capacity {LEGACY_CAPACITY}");
-        if policy == OverloadPolicy::CoalesceFrames {
-            assert!(fifo.2 > 0, "{policy:?}: the burst must coalesce");
-        }
-        assert_eq!(threaded, fifo, "{policy:?}: (offered, shed, coalesced, delivered, peak)");
-        assert_eq!(threaded_log, fifo_log, "{policy:?}: surviving deliveries");
-    }
 }

@@ -16,10 +16,7 @@ mod traced {
     use garnet::core::orphanage::{Orphanage, OrphanageConfig};
     use garnet::core::replicator::MessageReplicator;
     use garnet::core::resource::{MediationPolicy, ResourceManager};
-    use garnet::core::router::{
-        ControlGraph, OverloadConfig, OverloadPolicy, Router, Services, ShardedDispatch,
-        ShardedIngest,
-    };
+    use garnet::core::router::{ControlGraph, Router, Services, ShardedDispatch, ShardedIngest};
     use garnet::core::service::ServiceEvent;
     use garnet::core::DriverKind;
     use garnet::net::{SubscriberId, TopicFilter};
@@ -244,76 +241,6 @@ mod traced {
         let full_hops: u64 = full.stages.iter().map(|s| s.hops).sum();
         let small_hops: u64 = small.stages.iter().map(|s| s.hops).sum();
         assert_eq!(small_hops, full_hops);
-    }
-
-    #[test]
-    fn shed_frames_are_traced_with_shed_outcome() {
-        let mut router = single_threaded_router();
-        let mut shed_router = {
-            let mut dispatch = ShardedDispatch::new(1);
-            dispatch.register_subscriber();
-            for (id, filter) in filters() {
-                dispatch.subscribe(SubscriberId::new(id), filter);
-            }
-            Router::with_overload(
-                Services {
-                    ingest: ShardedIngest::new(FilterConfig::default(), 1),
-                    dispatch,
-                    control: control_graph(),
-                },
-                Some(OverloadConfig { capacity: 2, policy: OverloadPolicy::Shed }),
-            )
-        };
-        // Queue three frames without draining: the third admission
-        // sheds the oldest (root 0).
-        for seq in 0..3u16 {
-            shed_router.admit_frame(ReceiverId::new(0), -40.0, frame(1, 0, seq), SimTime::ZERO);
-        }
-        let snap = shed_router.trace_snapshot();
-        let shed: Vec<_> =
-            snap.records.iter().filter(|r| r.outcome == TraceOutcome::Shed).collect();
-        assert_eq!(shed.len(), 1, "exactly one frame was shed: {}", snap.to_jsonl());
-        assert_eq!(shed[0].kind, TraceEventKind::Frame);
-        assert_eq!(shed[0].root, Some(0), "the oldest admitted frame is the victim");
-        // The unbounded router never sheds.
-        router.admit_frame(ReceiverId::new(0), -40.0, frame(1, 0, 0), SimTime::ZERO);
-        assert!(router
-            .trace_snapshot()
-            .records
-            .iter()
-            .all(|r| r.outcome == TraceOutcome::Delivered));
-    }
-
-    #[test]
-    fn coalesced_frames_are_traced_with_coalesced_outcome() {
-        let mut dispatch = ShardedDispatch::new(1);
-        dispatch.register_subscriber();
-        let mut router = Router::with_overload(
-            Services {
-                ingest: ShardedIngest::new(FilterConfig::default(), 1),
-                dispatch,
-                control: control_graph(),
-            },
-            Some(OverloadConfig { capacity: 1, policy: OverloadPolicy::CoalesceFrames }),
-        );
-        // seq 0 queued; seq 1 arrives at capacity and wins → the queued
-        // copy (root 0) is traced as coalesced away.
-        router.admit_frame(ReceiverId::new(0), -40.0, frame(1, 0, 0), SimTime::ZERO);
-        router.admit_frame(ReceiverId::new(0), -40.0, frame(1, 0, 1), SimTime::ZERO);
-        // seq 0 arrives again and loses to the queued seq 1 → the
-        // arriving copy is traced as coalesced.
-        router.admit_frame(ReceiverId::new(0), -40.0, frame(1, 0, 0), SimTime::ZERO);
-        let snap = router.trace_snapshot();
-        let coalesced: Vec<_> =
-            snap.records.iter().filter(|r| r.outcome == TraceOutcome::Coalesced).collect();
-        assert_eq!(coalesced.len(), 2, "one loser per coalescing event: {}", snap.to_jsonl());
-        assert!(coalesced.iter().all(|r| r.kind == TraceEventKind::Frame));
-        assert_eq!(coalesced[0].root, Some(0), "first loser: the queued seq-0 copy");
-        assert_eq!(coalesced[1].root, Some(2), "second loser: the arriving seq-0 copy");
-        // Draining delivers the surviving seq-1 frame, traced normally.
-        while router.step(SimTime::ZERO).is_some() {}
-        let totals = router.overload_totals();
-        assert_eq!((totals.delivered, totals.coalesced), (1, 2));
     }
 
     #[test]
